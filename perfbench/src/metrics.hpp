@@ -5,8 +5,6 @@
 //   * exact nearest-rank percentiles over every recorded op latency
 //     (no log buckets: core/histogram.hpp's 6.25 % buckets made p50
 //     flip between neighbouring bucket bounds across identical runs);
-//   * per-slice throughput and percentiles, whose medians are the
-//     headline numbers;
 //   * span self time -- a span's duration minus the part of its
 //     interval covered by the UNION of its children, so a stolen
 //     branch that ran concurrently with its sibling on another thread
@@ -48,52 +46,6 @@ inline double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t m = v.size() / 2;
   return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
-}
-
-// ---- window slices ----------------------------------------------------------
-
-struct OpSample {
-  std::uint64_t end_ns;
-  std::uint64_t lat_ns;
-};
-
-// Throughput and latency percentiles of one slice of a window.
-struct SliceStats {
-  double ops_per_s = 0.0;
-  std::uint64_t p50_ns = 0;
-  std::uint64_t p99_ns = 0;
-};
-
-// Fewest ops a slice may hold, so its p99 has ten samples beyond it.
-inline constexpr std::size_t kMinOpsPerSlice = 1000;
-
-// Cuts the window [open_ns, open_ns + seconds) into one-second slices
-// by op completion time -- fewer when the window holds too few ops for
-// that, down to one slice for the whole window -- and returns each
-// slice's statistics. The headline numbers are medians across slices,
-// so one disturbed second (a neighbour's burst on a shared machine, a
-// late warm-up effect) moves them by one rank instead of by its weight.
-inline std::vector<SliceStats> slice_stats(const std::vector<OpSample>& ops,
-                                           std::uint64_t open_ns,
-                                           double seconds) {
-  const auto by_time = static_cast<std::size_t>(seconds);
-  const std::size_t n =
-      std::max<std::size_t>(1, std::min(by_time, ops.size() / kMinOpsPerSlice));
-  const double slice_s = seconds / static_cast<double>(n);
-  std::vector<std::vector<std::uint64_t>> lat(n);
-  for (const OpSample& o : ops) {
-    const double t = static_cast<double>(o.end_ns - open_ns) * 1e-9;
-    const auto i = static_cast<std::size_t>(t / slice_s);
-    lat[std::min(i, n - 1)].push_back(o.lat_ns);
-  }
-  std::vector<SliceStats> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::sort(lat[i].begin(), lat[i].end());
-    out[i].ops_per_s = static_cast<double>(lat[i].size()) / slice_s;
-    out[i].p50_ns = exact_percentile(lat[i], 0.50);
-    out[i].p99_ns = exact_percentile(lat[i], 0.99);
-  }
-  return out;
 }
 
 // ---- spans ------------------------------------------------------------------

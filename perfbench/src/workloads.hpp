@@ -72,8 +72,8 @@ Probe probe(const RT& rt) {
 struct Window {
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
-  std::vector<OpSample> ops;  // every successful op
-  double seconds = 0.0;       // open to the last op's completion
+  std::vector<std::uint64_t> lat_ns;  // latency of every successful op
+  double seconds = 0.0;               // open to the last op's completion
   std::uint64_t open_ns = 0;
   std::uint64_t close_ns = 0;
   std::size_t peak_rss = 0;
@@ -98,10 +98,20 @@ inline void finish_window(Window& w, MemorySampler& sampler) {
 // ---- serve lanes ------------------------------------------------------------
 
 // serve_shared's table: kSlotsPerLane pointer slots per lane, written
-// only by that lane, so no two lanes race on one word.
+// only by that lane, so no two lanes race on one word. Each link
+// overwrites the entry linked kSlotsPerLane ops earlier, so the live
+// shared state stays a fixed 2 x 64 entries (about 10 KB) through the
+// window while every later link leaves one entry of garbage in the
+// root heap: the garbage internal collection is there to reclaim.
 inline constexpr std::uint32_t kSlotsPerLane = 64;
-inline constexpr std::uint32_t kEntryWords = 8;  // [id, 7 derived words]
-// Each op reads back the entries this many links ago.
+// [id, 7 derived words]: one pointer-free 80-byte object per request,
+// so each op promotes exactly one object, and seven words per entry
+// check that a copy moved by a collection kept its contents.
+inline constexpr std::uint32_t kEntryWords = 8;
+// Each op reads back the entries this many links ago: from the one
+// linked just before (promoted, likely not yet collected) to the oldest
+// still linked (moved by the most internal collections since), with two
+// ages between.
 inline constexpr std::uint32_t kReadBack[] = {1, 3, 17, 63};
 
 inline std::int64_t entry_word(std::uint64_t seed, std::uint64_t id,
@@ -114,7 +124,7 @@ inline std::int64_t entry_word(std::uint64_t seed, std::uint64_t id,
 }
 
 struct alignas(64) Lane {
-  std::vector<OpSample> ops;
+  std::vector<std::uint64_t> lat_ns;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   std::uint64_t checksum = 0;  // wrapping sum of op results
@@ -226,7 +236,7 @@ void lane_loop(typename R::Ctx& c, Wave& w, Lane& lane, unsigned lane_idx,
     const std::uint64_t t1 = now_ns();
     lane.end_ns = t1;
     if (ok) {
-      lane.ops.push_back(OpSample{t1, t1 - t0});
+      lane.lat_ns.push_back(t1 - t0);
     } else {
       ++lane.failed;
     }
@@ -264,7 +274,7 @@ std::vector<Lane> run_wave(typename R::Ctx& c, Wave& w, const ServeConfig& cfg,
                            std::size_t reserve_per_lane = 0) {
   std::vector<Lane> lanes(w.lanes);
   for (Lane& l : lanes) {
-    l.ops.reserve(reserve_per_lane);
+    l.lat_ns.reserve(reserve_per_lane);
   }
   fork_lanes<R>(c, w, lanes, 0, w.lanes, cfg, table, on_open);
   return lanes;
@@ -350,7 +360,7 @@ std::uint64_t serve_setup_and_window(R& r, RT& rt, const ServePlan& p,
     for (const Lane& l : lanes) {
       out.attempted += l.attempted;
       out.failed += l.failed;
-      out.ops.insert(out.ops.end(), l.ops.begin(), l.ops.end());
+      out.lat_ns.insert(out.lat_ns.end(), l.lat_ns.begin(), l.lat_ns.end());
       last = std::max(last, l.end_ns);
     }
     out.close_ns = last;
@@ -393,7 +403,7 @@ void batch_window(R& r, RT& rt, const parmem::bench::Sizes& z,
     const bool ok = batch_op(r, z, reference);
     last = now_ns();
     if (ok) {
-      out.ops.push_back(OpSample{last, last - t0});
+      out.lat_ns.push_back(last - t0);
     } else {
       ++out.failed;
     }

@@ -52,37 +52,6 @@ void exact_percentiles_on_known_samples() {
   EXPECT_EQ(perfbench::median({4.0, 1.0, 2.0, 3.0}), 2.5);
 }
 
-void slices_split_window_by_completion_time() {
-  // Three 1 s slices at 1000 ops each: latencies i in slice 0, 10 * i in
-  // slice 1, 100 * i in slice 2 (i = 1..1000). The straggler completing
-  // after the window's end counts in the last slice.
-  std::vector<perfbench::OpSample> ops;
-  const std::uint64_t open = 5000;
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    for (std::uint64_t i = 1; i <= 1000; ++i) {
-      const std::uint64_t scale = s == 0 ? 1 : (s == 1 ? 10 : 100);
-      ops.push_back({open + s * 1000000000ull + i * 900000ull, i * scale});
-    }
-  }
-  ops.push_back({open + 3100000000ull, 7});
-  const std::vector<perfbench::SliceStats> sl =
-      perfbench::slice_stats(ops, open, 3.0);
-  EXPECT_EQ(sl.size(), 3u);
-  EXPECT_EQ(sl[0].p50_ns, 500u);
-  EXPECT_EQ(sl[1].p99_ns, 9900u);
-  EXPECT_EQ(sl[2].p50_ns, 50000u);  // the straggler (7) sorts first
-  EXPECT_EQ(static_cast<long long>(sl[2].ops_per_s), 1001);
-  EXPECT_EQ(static_cast<long long>(sl[0].ops_per_s), 1000);
-
-  // Too few ops for one-second slices: one slice spans the window.
-  const std::vector<perfbench::OpSample> few = {{open + 10, 3}, {open + 20, 1}};
-  const std::vector<perfbench::SliceStats> one =
-      perfbench::slice_stats(few, open, 3.0);
-  EXPECT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].p99_ns, 3u);
-  EXPECT_EQ(one[0].p50_ns, 1u);
-}
-
 void self_time_subtracts_union_of_children() {
   // fork2 [0, 100] on thread 0; branch A inline [10, 60] on thread 0;
   // branch B stolen [30, 90] on thread 1, overlapping A. The children
@@ -174,7 +143,6 @@ void histogram_window_delta_is_exact() {
 
 int main() {
   exact_percentiles_on_known_samples();
-  slices_split_window_by_completion_time();
   self_time_subtracts_union_of_children();
   recorded_stolen_branch_names_its_fork();
   histogram_window_delta_is_exact();
