@@ -70,7 +70,7 @@ void internal_gc_scan_descendant(Heap* target, Heap* h, SlotFn&& fn) {
       assert(f != Object::busy_sentinel() &&
              "promotion in flight during a stopped internal collection");
       Chunk* c = chunk_of(f);
-      if (c->from_space &&
+      if (c->from_space.load(std::memory_order_relaxed) &&
           c->heap.load(std::memory_order_relaxed) == target) {
         fn(o->fwd_slot());
       }

@@ -56,7 +56,7 @@ std::size_t leaf_gc_collect(Heap* heap, StatsCell* stats,
 
   Chunk* from = heap->detach_chunks();
   for (Chunk* c = from; c != nullptr; c = c->next) {
-    c->from_space = true;
+    c->from_space.store(true, std::memory_order_relaxed);
   }
 
   std::size_t copied = 0;
@@ -66,7 +66,8 @@ std::size_t leaf_gc_collect(Heap* heap, StatsCell* stats,
     }
     p = Object::chase(p);  // promoted -> master; already-copied -> to-space
     Chunk* c = chunk_of(p);
-    if (!c->from_space || c->heap.load(std::memory_order_relaxed) != heap) {
+    if (!c->from_space.load(std::memory_order_relaxed) ||
+        c->heap.load(std::memory_order_relaxed) != heap) {
       return p;  // ancestor-owned (or already evacuated): not ours to move
     }
     Object* n = heap->bump_alloc(p->nptr(), p->nscalar());

@@ -200,7 +200,8 @@ class ParallelCollector {
       Chunk* c = h->detach_chunks();
       while (c != nullptr) {
         Chunk* next = c->next;
-        c->from_space = true;  // c->heap stays: it is the ownership test
+        // c->heap stays: it is the ownership test
+        c->from_space.store(true, std::memory_order_relaxed);
         c->next = from_;
         from_ = c;
         c = next;
@@ -448,7 +449,7 @@ class ParallelCollector {
     for (;;) {
       p = Object::chase(p);  // spins past teammates' in-flight kBusy
       Chunk* c = chunk_of(p);
-      if (!c->from_space ||
+      if (!c->from_space.load(std::memory_order_relaxed) ||
           !collected(c->heap.load(std::memory_order_relaxed))) {
         return p;  // foreign, or already a to-space copy
       }

@@ -228,34 +228,6 @@ class HierRuntime {
       rt_->drive_internal_gc(/*forced=*/true);
     }
 
-    // Team evacuation of this task's (quiesced) heap -- the join-time
-    // path when Options::gc_parallel_team > 1. Same roots and same
-    // survivors as collect_now(), just copied by `team` workers.
-    void parallel_collect_now(unsigned team) {
-      const std::uint64_t trace_t0 = trace::now_ns();
-      core::ParallelCollector pc(rt_->chunks_, std::vector<Heap*>{heap_},
-                                 core::ParallelGcOptions{team, 128});
-      core::ParallelGcOutcome out = pc.collect([this](auto&& fn) {
-        for (RootFrame* f = frames_; f != nullptr; f = f->prev()) {
-          f->for_each_slot(fn);
-        }
-      });
-      // Bills gc_count directly (no leaf_gc_collect underneath), so it
-      // records its own pause event; dur is the pause wall time, not
-      // the team's summed busy time.
-      trace::record_gc_pause(trace::Ev::kGcLeaf, trace_t0, out.wall_ns,
-                             out.totals.bytes_copied);
-      rt_->stats_.local().gc_count.fetch_add(1, std::memory_order_relaxed);
-      rt_->stats_.local().gc_bytes_copied.fetch_add(out.totals.bytes_copied,
-                                            std::memory_order_relaxed);
-      // gc_ns aggregates per-worker busy time, like concurrent leaf
-      // collections do (NOT wall * team: spawn/join overhead and the
-      // other workers' lifetimes are not this team's copy work).
-      rt_->stats_.local().gc_ns.fetch_add(out.totals.busy_ns,
-                                  std::memory_order_relaxed);
-      rescale_budget(out.totals.bytes_copied);
-    }
-
     HierRuntime& runtime() { return *rt_; }
     Heap* leaf_heap() { return heap_; }
     RootFrame** root_head_ref() { return &frames_; }

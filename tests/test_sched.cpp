@@ -1,11 +1,19 @@
 // Scheduler-layer tests: Chase-Lev deque semantics and torture, the
 // push-vs-park wakeup protocol, oversubscribed pools (threads > cores,
 // the contended-steal regime the 1-core CI box can actually produce),
-// sharded-stats exactness, and the ChunkPool per-thread caches.
+// sharded-stats exactness, and the ChunkPool's size-class caches and
+// slot regions.
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "bench_common/workloads.hpp"
 #include "core/deque.hpp"
@@ -278,35 +286,194 @@ PARMEM_TEST(stats_shard_aggregation_exact) {
   }
 }
 
-// The per-thread chunk caches must preserve the pool's byte
-// accounting and budget enforcement exactly: cached chunks are not
-// live, reuse comes from the cache (same chunk back), and a budget
-// hit throws on the cache path just as it does on the fresh path.
+// True when acquire() throws OutOfMemory.
+bool acquire_throws(ChunkPool& pool, std::size_t bytes) {
+  try {
+    (void)pool.acquire(bytes - kChunkHeaderBytes, bytes);
+  } catch (const OutOfMemory&) {
+    return true;
+  }
+  return false;
+}
+
+// Every size class, starters and full size alike, must recycle through
+// the per-thread caches and the shared list with exact accounting:
+// pooled chunks are not live, reuse hands back the same chunks, a
+// budget hit throws before anything is popped, and the chunk_alloc
+// failpoint fires only when a fresh slot is carved (so the OOM fault
+// sweeps still aim at memory taken from the OS).
 PARMEM_TEST(chunkpool_sharded_cache_accounting) {
+  // More than one shard's worth per class, so the shared list is used.
+  constexpr std::size_t kHeld = 12;
+  for (std::size_t bytes = kMinChunkBytes; bytes <= kChunkBytes; bytes <<= 1) {
+    ChunkPool pool;
+    {
+      failpoint::ScopedFailpoints fp("chunk_alloc=every(1)");
+      CHECK(acquire_throws(pool, bytes));  // empty pool: a fresh slot
+    }
+    CHECK_EQ(pool.live_bytes(), 0u);
+
+    std::set<Chunk*> carved;
+    for (std::size_t i = 0; i < kHeld; ++i) {
+      Chunk* c = pool.acquire(bytes - kChunkHeaderBytes, bytes);
+      CHECK_EQ(c->bytes, bytes);
+      CHECK(reinterpret_cast<std::uintptr_t>(c) % kChunkBytes == 0);
+      carved.insert(c);
+    }
+    CHECK_EQ(carved.size(), kHeld);
+    CHECK_EQ(pool.live_bytes(), kHeld * bytes);
+    for (Chunk* c : carved) {
+      pool.release(c);
+#if defined(PARMEM_ASAN)
+      // Pooled payloads are poisoned: a use after release reports.
+      CHECK(__asan_address_is_poisoned(c->data()));
+      CHECK(__asan_address_is_poisoned(c->data_limit() - 1));
+#endif
+    }
+    CHECK_EQ(pool.live_bytes(), 0u);
+
+    // Reuse carves nothing, so an every-hit failpoint stays silent, and
+    // hands back exactly the released chunks.
+    std::set<Chunk*> reused;
+    {
+      failpoint::ScopedFailpoints fp("chunk_alloc=every(1)");
+      for (std::size_t i = 0; i < kHeld; ++i) {
+        reused.insert(pool.acquire(bytes - kChunkHeaderBytes, bytes));
+        CHECK_EQ(pool.live_bytes(), (i + 1) * bytes);
+      }
+    }
+    CHECK(reused == carved);
+#if defined(PARMEM_ASAN)
+    for (Chunk* c : reused) {
+      CHECK(__asan_region_is_poisoned(c->data(), bytes - kChunkHeaderBytes) ==
+            nullptr);
+    }
+#endif
+    for (Chunk* c : reused) {
+      pool.release(c);
+    }
+    CHECK_EQ(pool.live_bytes(), 0u);
+
+    // The budget is checked before the pop: a refused acquire leaves
+    // every pooled chunk in place for the next one.
+    pool.set_budget(bytes);
+    Chunk* c = pool.acquire(bytes - kChunkHeaderBytes, bytes);
+    CHECK(carved.count(c) == 1);
+    CHECK(acquire_throws(pool, bytes));
+    CHECK_EQ(pool.live_bytes(), bytes);
+    pool.set_budget(0);
+    std::set<Chunk*> rest;
+    {
+      failpoint::ScopedFailpoints fp("chunk_alloc=every(1)");
+      for (std::size_t i = 1; i < kHeld; ++i) {
+        rest.insert(pool.acquire(bytes - kChunkHeaderBytes, bytes));
+      }
+    }
+    CHECK_EQ(rest.size(), kHeld - 1);
+    CHECK(rest.count(c) == 0);
+    CHECK_EQ(pool.live_bytes(), kHeld * bytes);
+    pool.release(c);
+    for (Chunk* r : rest) {
+      pool.release(r);
+    }
+    CHECK_EQ(pool.live_bytes(), 0u);
+  }
+}
+
+// Resident pages in [p, p + bytes); p page-aligned.
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((bytes + page - 1) / page);
+  CHECK_EQ(::mincore(const_cast<void*>(p), bytes, vec.data()), 0);
+  std::size_t n = 0;
+  for (unsigned char v : vec) {
+    n += v & 1;
+  }
+  return n;
+}
+
+// A miss in one class takes a free slot of another class before
+// carving, giving back the pages past its new size; trim() returns the
+// pages of surplus free slots and hands the slots out again later.
+PARMEM_TEST(chunkpool_cross_class_reuse_and_trim) {
+  constexpr std::size_t kHeld = 16;
   ChunkPool pool;
-  Chunk* a = pool.acquire(kChunkPayload);
-  CHECK_EQ(pool.live_bytes(), kChunkBytes);
-  pool.release(a);
+  std::set<Chunk*> full;
+  for (std::size_t i = 0; i < kHeld; ++i) {
+    Chunk* c = pool.acquire(kChunkPayload);
+    std::memset(c->data(), 0xab, kChunkPayload);
+    full.insert(c);
+  }
+  for (Chunk* c : full) {
+    pool.release(c);
+  }
+  std::size_t resident = 0;
+  for (Chunk* c : full) {
+    resident += resident_pages(c, kChunkBytes);
+  }
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  CHECK_EQ(resident, kHeld * (kChunkBytes / page));
+
+  {
+    // The starter class is empty; a pooled full-size slot is reused.
+    failpoint::ScopedFailpoints fp("chunk_alloc=every(1)");
+    Chunk* s = pool.acquire(64, kMinChunkBytes);
+    CHECK(full.count(s) == 1);
+    CHECK_EQ(s->bytes, kMinChunkBytes);
+    CHECK_EQ(pool.live_bytes(), kMinChunkBytes);
+    CHECK_EQ(resident_pages(s, kChunkBytes), kMinChunkBytes / page);
+    pool.release(s);
+  }
+
+  pool.trim(0);
+  resident = 0;
+  for (Chunk* c : full) {
+    resident += resident_pages(c, kChunkBytes);
+  }
+  // Only what the calling thread's cache shard holds stays resident.
+  CHECK(resident <= 8 * (kChunkBytes / page));
   CHECK_EQ(pool.live_bytes(), 0u);
 
-  // Reuse hits the calling thread's cache: same chunk, relived.
-  Chunk* b = pool.acquire(kChunkPayload);
-  CHECK(b == a);
-  CHECK_EQ(pool.live_bytes(), kChunkBytes);
-  pool.release(b);
-
-  // Budget is enforced before the cache hands anything out.
-  pool.set_budget(kChunkBytes);
-  Chunk* c = pool.acquire(kChunkPayload);
-  bool threw = false;
-  try {
-    (void)pool.acquire(kChunkPayload);
-  } catch (const OutOfMemory&) {
-    threw = true;
+  std::set<Chunk*> again;
+  for (std::size_t i = 0; i < kHeld; ++i) {
+    Chunk* c = pool.acquire(kChunkPayload);
+    std::memset(c->data(), 0xcd, kChunkPayload);
+    again.insert(c);
   }
-  CHECK(threw);
-  CHECK_EQ(pool.live_bytes(), kChunkBytes);
-  pool.release(c);
+  CHECK(again == full);
+  CHECK_EQ(pool.live_bytes(), kHeld * kChunkBytes);
+  for (Chunk* c : again) {
+    pool.release(c);
+  }
+}
+
+std::size_t maps_lines() {
+  std::ifstream f("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(f, line);) {
+    ++n;
+  }
+  return n;
+}
+
+// Chunks share a few large mappings instead of taking one each: every
+// mapping is its own VMA, and a process holding many small heaps would
+// otherwise run into vm.max_map_count (65,530 by default).
+PARMEM_TEST(chunkpool_starters_share_few_mappings) {
+  constexpr std::size_t kStarters = 80000;
+  std::vector<Chunk*> held;
+  held.reserve(kStarters);
+  const std::size_t before = maps_lines();
+  ChunkPool pool;
+  for (std::size_t i = 0; i < kStarters; ++i) {
+    held.push_back(pool.acquire(64, kMinChunkBytes));
+  }
+  CHECK_EQ(pool.live_bytes(), kStarters * kMinChunkBytes);
+  const std::size_t after = maps_lines();
+  CHECK(after < before + 1000);
+  for (Chunk* c : held) {
+    pool.release(c);
+  }
   CHECK_EQ(pool.live_bytes(), 0u);
 }
 
