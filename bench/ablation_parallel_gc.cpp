@@ -133,9 +133,10 @@ int main(int argc, char** argv) {
     std::size_t threshold;
     unsigned team;
   };
-  // The team row collects the same subtrees with gc_parallel_team
-  // workers; at these subtree sizes the per-collection thread spawn
-  // usually dominates, which is exactly the tradeoff to expose.
+  // The team row collects the same subtrees with up to
+  // gc_parallel_team workers: the driver plus the mutators its stop
+  // parked, so the team is only as large as the parked set at each
+  // join.
   const JoinPolicy policies[] = {
       {"off", 0, 0},
       {"64KiB", std::size_t{1} << 16, 0},
@@ -162,6 +163,6 @@ int main(int argc, char** argv) {
       "(the paper's sequential collector is team=1); part 2 -- join-time "
       "collection trades GC work for lower peak occupancy on "
       "promotion-heavy joins, and the team row only wins once subtrees "
-      "are large enough to amortize its per-collection thread spawn\n");
+      "are large enough to amortize its packet and termination overhead\n");
   return 0;
 }

@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\ncolumns: Ts sequential time; GCs %% time in GC (sequential); "
       "T1/Tp times on 1/P procs; ovh = T1/Ts; spd = Ts/Tp; GCp %% "
-      "processor time in GC at P procs (STW pauses count all stopped "
-      "workers)\n");
+      "processor time in GC at P procs (CPU time of the collecting "
+      "threads)\n");
 
   RuntimeJson json;
   if (json.open(opt.json_out, procs, opt.sizes)) {

@@ -138,7 +138,7 @@ void json_row(std::FILE* f, const ServeRow& r, bool first) {
       "\"peak_rss_bytes\": %zu, \"steady_rss_bytes\": %zu, "
       "\"steady_live_bytes\": %zu, \"frag_ratio\": %.3f, "
       "\"verify_checksum\": %lld, \"gc_count\": %llu, \"gc_ns\": %llu, "
-      "\"promotions\": %llu}",
+      "\"gc_pause_ns\": %llu, \"promotions\": %llu}",
       first ? "" : ",", r.runtime, r.procs, m.lanes,
       static_cast<unsigned long long>(m.requests), m.seconds,
       m.throughput_rps,
@@ -151,6 +151,7 @@ void json_row(std::FILE* f, const ServeRow& r, bool first) {
       static_cast<long long>(r.verify_checksum),
       static_cast<unsigned long long>(m.stats.gc_count),
       static_cast<unsigned long long>(m.stats.gc_ns),
+      static_cast<unsigned long long>(m.stats.gc_pause_ns),
       static_cast<unsigned long long>(m.stats.promotions));
 }
 

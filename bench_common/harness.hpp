@@ -189,9 +189,10 @@ struct Measurement {
   Stats stats;
   std::size_t peak_bytes = 0;
 
-  // Fraction of PROCESSOR time spent in GC. gc_ns aggregates across
-  // workers (concurrent leaf GCs under hier; all stopped workers under
-  // stw), so the denominator for a P-proc run is P * wall.
+  // Fraction of PROCESSOR time spent in GC. gc_ns is the CPU time of
+  // every collecting thread (concurrent leaf collections and every
+  // evacuation-team member add up), so the denominator for a P-proc
+  // run is P * wall.
   double gc_fraction(unsigned procs = 1) const {
     return seconds > 0.0
                ? (static_cast<double>(stats.gc_ns) * 1e-9) /

@@ -20,31 +20,28 @@
 // cousin can only reach shared data through a common ancestor of both
 // tasks -- which is then an ancestor of H, not H. So the root set is
 // "all frames + descendant fields + descendant forwarding words", and
-// the existing collectors (core/gc_leaf.hpp sequentially,
-// core/gc_parallel.hpp with a team) evacuate H against it unchanged:
-// survivors keep their depth and heap, so the zero/one-check barrier
-// invariants are untouched, and forwarding chains that used to pass
-// through H are shortened past it before from-space is released.
+// collect_stopped (core/gc_parallel.hpp: the leaf collector, or a
+// team of parked mutators) evacuates H against it unchanged: survivors
+// keep their depth and heap, so the zero/one-check barrier invariants
+// are untouched, and forwarding chains that used to pass through H are
+// shortened past it before from-space is released.
 //
 // Scanning every descendant object treats descendants as fully live --
 // conservative (descendant garbage retains what it references in H)
 // but sound; descendant leaves have their own leaf collections.
 //
-// Allocation faults: both underlying collectors run in collector
-// context (core/failpoint.hpp GcAllocScope), so heap budgets and
-// injected faults never fire inside an internal collection -- which is
-// what lets the emergency cascade run collections to RECOVER from a
-// budget hit without tripping over it again.
+// Allocation faults: both evacuators run in collector context
+// (core/failpoint.hpp GcAllocScope), so heap budgets and injected
+// faults never fire inside an internal collection -- which is what
+// lets the emergency cascade run collections to RECOVER from a budget
+// hit without tripping over it again.
 #pragma once
 
 #include <cassert>
 #include <vector>
 
-#include "core/gc_leaf.hpp"
-#include "core/gc_parallel.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
-#include "core/stats.hpp"
 
 namespace parmem {
 
@@ -95,37 +92,4 @@ void internal_gc_emit_roots(Heap* target, const std::vector<Heap*>& all_heaps,
 }
 
 }  // namespace detail
-
-// Sequential hierarchy-aware collection of `target`. Caller guarantees
-// the stopped-world precondition: target's owner is parked, blocked in
-// fork2, or is the caller itself at a safepoint, and so is every other
-// task of the runtime. Returns live bytes evacuated. Bills gc_count /
-// gc_bytes_copied / gc_ns through the shared leaf collector AND the
-// internal_gc_* pair.
-template <class FrameRoots>
-std::size_t internal_gc_collect(Heap* target,
-                                const std::vector<Heap*>& all_heaps,
-                                StatsCell* stats, FrameRoots&& frame_roots) {
-  std::size_t live = leaf_gc_collect(target, stats, [&](auto&& fn) {
-    detail::internal_gc_emit_roots(target, all_heaps, frame_roots, fn);
-  });
-  stats->internal_gc_count.fetch_add(1, std::memory_order_relaxed);
-  stats->internal_gc_bytes.fetch_add(live, std::memory_order_relaxed);
-  return live;
-}
-
-// Team variant: same roots, same survivors, copied by `team` workers
-// (core/gc_parallel.hpp spawns them per collection). Caller bills the
-// runtime stats from the outcome.
-template <class FrameRoots>
-core::ParallelGcOutcome internal_gc_collect_parallel(
-    ChunkPool& pool, Heap* target, const std::vector<Heap*>& all_heaps,
-    unsigned team, FrameRoots&& frame_roots) {
-  core::ParallelCollector pc(pool, std::vector<Heap*>{target},
-                             core::ParallelGcOptions{team, 128});
-  return pc.collect([&](auto&& fn) {
-    detail::internal_gc_emit_roots(target, all_heaps, frame_roots, fn);
-  });
-}
-
 }  // namespace parmem

@@ -60,15 +60,11 @@ class HierRuntime {
     std::size_t gc_min_budget = std::size_t{4} << 20;  // leaf bytes before GC
     std::size_t gc_join_threshold = 0;  // 0 = no collection at joins
     double gc_growth_factor = 8.0;      // budget = max(min, factor * live)
-    // Team size for join-time subtree collections (core/gc_parallel.hpp);
-    // 0 or 1 keeps them sequential. Only the quiesced just-merged
-    // subtree is evacuated, so the team runs concurrently with every
-    // other task: no task outside the subtree can hold a reference into
-    // it (the hierarchy invariant plus fork-join reachability), and
-    // foreign objects are only ever chased, never claimed. The team is
-    // spawned as fresh threads per collection (~0.1 ms of spawn/join),
-    // so pair it with a gc_join_threshold large enough -- several MB of
-    // merged subtree -- for the parallel copy to amortize that.
+    // Largest evacuation team for stopped-world collections (join,
+    // internal and emergency; core/gc_parallel.hpp collect_stopped): up
+    // to gc_parallel_team - 1 mutators parked by the stop are recruited
+    // to copy alongside the driver. 0 or 1 keeps them sequential, and
+    // so does a stop that finds nobody parked.
     unsigned gc_parallel_team = 0;
     // Hierarchy-aware internal-heap collection (core/gc_internal.hpp):
     // when a promotion pushes a heap's promoted-into bytes past this
@@ -76,7 +72,6 @@ class HierRuntime {
     // path or fork2 boundary) pauses the running set and collects every
     // such heap in place -- so promotion chains into a BUSY internal
     // heap no longer accumulate until its owner rejoins. 0 disables.
-    // gc_parallel_team > 1 applies the same team to these collections.
     std::size_t gc_internal_threshold = 0;
     // GC-stress differential-testing mode: force a leaf collection and
     // a join collection at every safepoint and ring the internal-
@@ -249,6 +244,7 @@ class HierRuntime {
 
    private:
     friend class HierRuntime;
+    friend class CtxRegistry<Ctx>;
 
     Ctx(HierRuntime* rt, Heap* heap, Ctx* parent = nullptr)
         : rt_(rt),
@@ -257,13 +253,13 @@ class HierRuntime {
           mode_(rt->opts_.promotion),
           gc_budget_(rt->opts_.gc_min_budget) {
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->register_ctx(this);
+        rt_->ctxs_.add(this, rt_->pool_.current_index());
       }
     }
 
     ~Ctx() {
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->deregister_ctx(this);
+        rt_->ctxs_.remove(this);
       }
     }
 
@@ -360,13 +356,7 @@ class HierRuntime {
     PromotionMode mode_;
     std::size_t gc_budget_;
     RootFrame* frames_ = nullptr;
-    // Intrusive per-worker registry links, guarded by the home slot's
-    // ctx_lock. Deliberately NOT default-initialised: they are written
-    // by register_ctx and only read while registered, and fork2 makes
-    // two Ctxs per call -- dead stores here show up in the fork row.
-    Ctx* reg_prev_;
-    Ctx* reg_next_;
-    unsigned home_slot_;
+    CtxRegistry<Ctx>::Link reg_;  // written only while registered
   };
 
   HierRuntime() : HierRuntime(Options{}) {}
@@ -374,7 +364,7 @@ class HierRuntime {
       : opts_(opts),
         pool_(opts.workers),
         gate_(pool_.workers()),
-        slots_(pool_.workers()) {
+        ctxs_(pool_.workers()) {
     if (!opts_.gc_stress && gc_stress_env()) {
       opts_.gc_stress = true;
     }
@@ -464,6 +454,10 @@ class HierRuntime {
 
     HierRuntime* rt = ctx.rt_;
     rt->stats_.local().forks.fetch_add(1, std::memory_order_relaxed);
+    const bool sp = rt->sp_enabled_;
+    if (__builtin_expect(sp, 0)) {
+      rt->fork_safepoint();
+    }
     Heap* parent = ctx.heap_;
 
     Heap heap_a(parent, parent->depth() + 1, &rt->chunks_);
@@ -480,10 +474,8 @@ class HierRuntime {
     rtapi::ResultChannel<Ctx, RA> ch_a(ctx);
     rtapi::SpawnedBranch<Ctx, std::remove_reference_t<G>> task_b(
         &rt->pool_, g, ctx_b, ctx);
-
-    const bool sp = rt->sp_enabled_;
     if (__builtin_expect(sp, 0)) {
-      rt->fork_enter_safepoint();
+      rt->fork_deactivate();
     }
 
     std::exception_ptr err_a;
@@ -507,9 +499,9 @@ class HierRuntime {
         __builtin_expect(rt->opts_.gc_stress, 0)) {
       // Join-time subtree collection: the two-sibling subtree just
       // merged into `parent` is quiesced (both branches joined), so it
-      // can be evacuated here -- by a team when gc_parallel_team asks
-      // for one (stopped_collect_heap applies it). GC-stress forces it
-      // at every join. Both trigger conditions imply sp_enabled_ (see
+      // can be evacuated here -- with parked mutators as a team when
+      // gc_parallel_team asks for one. GC-stress forces it at every
+      // join. Both trigger conditions imply sp_enabled_ (see
       // the constructor), so the collection always stops the world and
       // roots from EVERY task's frames: results published into
       // arbitrary ancestor Locals survive the merge, which the
@@ -531,12 +523,7 @@ class HierRuntime {
   // populated only while internal collection or GC-stress is enabled).
   std::vector<Heap*> snapshot_heaps() {
     std::vector<Heap*> heaps;
-    for (WorkerSlot& s : slots_) {
-      std::lock_guard<SpinLock> g(s.ctx_lock);
-      for (Ctx* c = s.ctx_head; c != nullptr; c = c->reg_next_) {
-        heaps.push_back(c->heap_);
-      }
-    }
+    ctxs_.for_each([&heaps](Ctx* c) { heaps.push_back(c->heap_); });
     return heaps;
   }
 
@@ -565,40 +552,6 @@ class HierRuntime {
     return bytes;
   }
 
-  // One cache line per pool worker: the context registry for that
-  // worker's thread (mutated only from it, so the spinlock is
-  // uncontended except against a stopped-world driver scanning the
-  // lists). The running-set counts live in gate_.
-  struct alignas(64) WorkerSlot {
-    SpinLock ctx_lock;
-    Ctx* ctx_head = nullptr;
-  };
-
-  void register_ctx(Ctx* c) {
-    unsigned idx = pool_.current_index();
-    WorkerSlot& s = slots_[idx];
-    c->home_slot_ = idx;
-    std::lock_guard<SpinLock> g(s.ctx_lock);
-    c->reg_prev_ = nullptr;
-    c->reg_next_ = s.ctx_head;
-    if (s.ctx_head != nullptr) {
-      s.ctx_head->reg_prev_ = c;
-    }
-    s.ctx_head = c;
-  }
-  void deregister_ctx(Ctx* c) {
-    WorkerSlot& s = slots_[c->home_slot_];
-    std::lock_guard<SpinLock> g(s.ctx_lock);
-    if (c->reg_prev_ != nullptr) {
-      c->reg_prev_->reg_next_ = c->reg_next_;
-    } else {
-      s.ctx_head = c->reg_next_;
-    }
-    if (c->reg_next_ != nullptr) {
-      c->reg_next_->reg_prev_ = c->reg_prev_;
-    }
-  }
-
   std::size_t effective_internal_threshold() const {
     return opts_.gc_stress ? 1 : opts_.gc_internal_threshold;
   }
@@ -607,13 +560,16 @@ class HierRuntime {
   // fork2 stays compact (the fork row is a measured baseline).
   //
   // Entry -- fork2 is a safepoint of the forking task (no raw Object*
-  // is held across it by contract), and the parent then leaves the
-  // running set FIRST: a pending internal collection must never wait
-  // on a task that is blocked in fork2 rather than parked. Its heap --
-  // now internal -- and frames stay registered (and scanned) through
-  // its Ctx for the whole join.
-  __attribute__((noinline)) void fork_enter_safepoint() {
-    safepoint();
+  // is held across it by contract), polled BEFORE the spawn: a spawned
+  // branch may already be running, and a stop driven from here would
+  // wait for it to reach a safepoint -- forever, if it spins waiting
+  // for its sibling (the serve harness's start barrier does).
+  __attribute__((noinline)) void fork_safepoint() { safepoint(); }
+  // After the spawn the parent leaves the running set: a pending
+  // collection must never wait on a task that is blocked in fork2
+  // rather than parked. Its heap -- now internal -- and frames stay
+  // registered (and scanned) through its Ctx for the whole join.
+  __attribute__((noinline)) void fork_deactivate() {
     gate_.deactivate(pool_.current_index());
   }
   // Exit -- reactivating blocks while a stop is pending, so the
@@ -653,15 +609,11 @@ class HierRuntime {
   // Pre-stop peek, racing running mutators: may only read atomics (the
   // authoritative victim scan reruns on the stopped world).
   bool any_internal_victims(std::size_t thr) {
-    for (WorkerSlot& s : slots_) {
-      std::lock_guard<SpinLock> g(s.ctx_lock);
-      for (Ctx* c = s.ctx_head; c != nullptr; c = c->reg_next_) {
-        if (c->heap_->remote_bytes() >= thr) {
-          return true;
-        }
-      }
-    }
-    return false;
+    bool any = false;
+    ctxs_.for_each([&](Ctx* c) {
+      any = any || c->heap_->remote_bytes() >= thr;
+    });
+    return any;
   }
 
   void drive_internal_gc(bool forced) {
@@ -681,20 +633,16 @@ class HierRuntime {
         return;
       }
     }
-    if (!gate_.begin_stop()) {
+    StopGuard stop(gate_, stats_.local());
+    if (!stop) {
       return;  // parked through another driver's stop instead
     }
-    // The internal-GC phase tag makes the leaf collections run below
-    // record as gc_internal pauses (trace::pause_kind_from_phase).
+    // The internal-GC phase tag makes the collections run below record
+    // as gc_internal pauses (trace::pause_kind_from_phase).
     phase::PhaseScope gc_scope(phase::Phase::kInternalGc);
     internal_doorbell_.store(false, std::memory_order_relaxed);
-    try {
-      collect_internal_victims(thr);
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
+    collect_victims([thr](Heap* h) { return h->remote_bytes() >= thr; },
+                    /*bill_internal=*/true);
   }
 
   // Emergency rung of the budget cascade (Ctx::emergency_collect): stop
@@ -704,51 +652,51 @@ class HierRuntime {
   // stop is pending, park through it instead: its collections free
   // memory just the same, and our caller retries afterwards.
   void drive_emergency_gc() {
-    if (gate_.pending()) {
-      gate_.park();
-      return;
-    }
-    if (!gate_.begin_stop()) {
+    StopGuard stop(gate_, stats_.local());
+    if (!stop) {
       return;
     }
     internal_doorbell_.store(false, std::memory_order_relaxed);
-    try {
-      std::vector<Ctx*> ctxs;
-      std::vector<Heap*> heaps;
-      snapshot_registry(&ctxs, &heaps);
-      std::vector<Heap*> victims;
-      for (Heap* h : heaps) {
-        if (h->chunks() != nullptr) {
-          victims.push_back(h);
-        }
+    collect_victims([](Heap*) { return true; }, /*bill_internal=*/false);
+  }
+
+  // The world is stopped: every other member of the running set is
+  // parked at a safepoint (holding no raw pointers, by the alloc/fork2
+  // contract) and tasks blocked in fork2 are deactivated, so heaps,
+  // frames and the registry are all frozen and safe to walk. Collects
+  // every non-empty heap `pick` selects, deepest first, so a shallower
+  // victim's descendant scan sees the deeper victims' graphs already
+  // settled.
+  template <class Pick>
+  void collect_victims(Pick&& pick, bool bill_internal) {
+    std::vector<Ctx*> ctxs;
+    std::vector<Heap*> heaps;
+    snapshot_registry(&ctxs, &heaps);
+    std::vector<Heap*> victims;
+    for (Heap* h : heaps) {
+      if (h->chunks() != nullptr && pick(h)) {
+        victims.push_back(h);
       }
-      std::sort(victims.begin(), victims.end(),
-                [](Heap* a, Heap* b) { return a->depth() > b->depth(); });
-      for (Heap* h : victims) {
-        stopped_collect_heap(h, ctxs, heaps, /*bill_internal=*/false);
-      }
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
     }
-    gate_.end_stop();
+    std::sort(victims.begin(), victims.end(),
+              [](Heap* a, Heap* b) { return a->depth() > b->depth(); });
+    for (Heap* h : victims) {
+      stopped_collect_heap(h, ctxs, heaps, bill_internal);
+    }
   }
 
   void snapshot_registry(std::vector<Ctx*>* ctxs, std::vector<Heap*>* heaps) {
-    for (WorkerSlot& s : slots_) {
-      std::lock_guard<SpinLock> g(s.ctx_lock);
-      for (Ctx* c = s.ctx_head; c != nullptr; c = c->reg_next_) {
-        ctxs->push_back(c);
-        heaps->push_back(c->heap_);
-      }
-    }
+    ctxs_.for_each([&](Ctx* c) {
+      ctxs->push_back(c);
+      heaps->push_back(c->heap_);
+    });
   }
 
   // Collect one heap on the already-stopped world, rooting from EVERY
-  // task's frames plus descendant fields/forwarding words, with the
-  // sequential or team evacuator per gc_parallel_team. `bill_internal`
-  // adds the internal_gc_* pair on top of the ordinary gc_* counters.
-  // Returns live bytes evacuated.
+  // task's frames plus descendant fields/forwarding words, with up to
+  // gc_parallel_team evacuators. `bill_internal` adds the internal_gc_*
+  // pair on top of the ordinary gc_* counters. Returns live bytes
+  // evacuated.
   std::size_t stopped_collect_heap(Heap* h, const std::vector<Ctx*>& ctxs,
                                    const std::vector<Heap*>& heaps,
                                    bool bill_internal) {
@@ -759,30 +707,15 @@ class HierRuntime {
         }
       }
     };
-    std::size_t live;
-    if (opts_.gc_parallel_team > 1) {
-      const std::uint64_t trace_t0 = trace::now_ns();
-      core::ParallelGcOutcome out = internal_gc_collect_parallel(
-          chunks_, h, heaps, opts_.gc_parallel_team, frame_roots);
-      live = out.totals.bytes_copied;
-      // This branch bills gc_count directly, so it records its own
-      // pause; the kind follows the driver's phase (join / internal /
-      // emergency-as-leaf), like leaf_gc_collect does.
-      trace::record_gc_pause(trace::pause_kind_from_phase(phase::current()),
-                             trace_t0, out.wall_ns, live);
-      stats_.local().gc_count.fetch_add(1, std::memory_order_relaxed);
-      stats_.local().gc_bytes_copied.fetch_add(live, std::memory_order_relaxed);
-      stats_.local().gc_ns.fetch_add(out.totals.busy_ns, std::memory_order_relaxed);
-      if (bill_internal) {
-        stats_.local().internal_gc_count.fetch_add(1, std::memory_order_relaxed);
-        stats_.local().internal_gc_bytes.fetch_add(live, std::memory_order_relaxed);
-      }
-    } else if (bill_internal) {
-      live = internal_gc_collect(h, heaps, &stats_.local(), frame_roots);
-    } else {
-      live = leaf_gc_collect(h, &stats_.local(), [&](auto&& fn) {
-        detail::internal_gc_emit_roots(h, heaps, frame_roots, fn);
-      });
+    const std::size_t live = collect_stopped(
+        gate_, chunks_, h, std::max(1u, opts_.gc_parallel_team),
+        &stats_.local(), [&](auto&& fn) {
+          detail::internal_gc_emit_roots(h, heaps, frame_roots, fn);
+        });
+    if (bill_internal) {
+      stats_.local().internal_gc_count.fetch_add(1, std::memory_order_relaxed);
+      stats_.local().internal_gc_bytes.fetch_add(live,
+                                                 std::memory_order_relaxed);
     }
     return live;
   }
@@ -796,7 +729,8 @@ class HierRuntime {
     if (me->heap_->chunks() == nullptr) {
       return;
     }
-    if (!gate_.begin_stop()) {
+    StopGuard stop(gate_, stats_.local());
+    if (!stop) {
       return;  // parked through a concurrent stop; the next join retries
     }
     // Tags the collection below as a join-GC pause (gc_join kind).
@@ -804,37 +738,8 @@ class HierRuntime {
     std::vector<Ctx*> ctxs;
     std::vector<Heap*> heaps;
     snapshot_registry(&ctxs, &heaps);
-    try {
-      me->rescale_budget(stopped_collect_heap(me->heap_, ctxs, heaps,
-                                              /*bill_internal=*/false));
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
-  }
-
-  // The world is stopped: every other member of the running set is
-  // parked at a safepoint (holding no raw pointers, by the alloc/fork2
-  // contract) and tasks blocked in fork2 are deactivated, so heaps,
-  // frames and the registry are all frozen and safe to walk.
-  void collect_internal_victims(std::size_t thr) {
-    std::vector<Ctx*> ctxs;
-    std::vector<Heap*> heaps;
-    snapshot_registry(&ctxs, &heaps);
-    std::vector<Heap*> victims;
-    for (Heap* h : heaps) {
-      if (h->remote_bytes() >= thr && h->chunks() != nullptr) {
-        victims.push_back(h);
-      }
-    }
-    // Deepest first, so a shallower victim's descendant scan sees the
-    // deeper victims' graphs already settled.
-    std::sort(victims.begin(), victims.end(),
-              [](Heap* a, Heap* b) { return a->depth() > b->depth(); });
-    for (Heap* h : victims) {
-      stopped_collect_heap(h, ctxs, heaps, /*bill_internal=*/true);
-    }
+    me->rescale_budget(stopped_collect_heap(me->heap_, ctxs, heaps,
+                                            /*bill_internal=*/false));
   }
 
   Options opts_;
@@ -842,8 +747,8 @@ class HierRuntime {
   ChunkPool chunks_;
   ShardedStats stats_{WorkStealPool::resolved_workers(opts_.workers)};
   WorkStealPool pool_;
-  SafepointGate gate_;             // pause/resume of the running set
-  std::vector<WorkerSlot> slots_;  // per-worker ctx registries
+  SafepointGate gate_;     // pause/resume of the running set
+  CtxRegistry<Ctx> ctxs_;  // live task contexts (sp_enabled_ only)
   std::atomic<bool> internal_doorbell_{false};
   std::atomic<std::uint64_t> stress_tick_{0};
 };

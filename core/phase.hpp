@@ -41,6 +41,7 @@ enum class Phase : std::uint8_t {
   kJoinGc,
   kInternalGc,
   kGlobalGc,
+  kStwGc,
   kParallelEvac,
   kPromotion,
   kSteal,
@@ -56,6 +57,7 @@ inline const char* name(Phase p) {
     case Phase::kJoinGc:       return "join-GC";
     case Phase::kInternalGc:   return "internal-GC";
     case Phase::kGlobalGc:     return "global-GC";
+    case Phase::kStwGc:        return "stw-GC";
     case Phase::kParallelEvac: return "parallel-evac";
     case Phase::kPromotion:    return "promotion";
     case Phase::kSteal:        return "steal";
@@ -65,13 +67,13 @@ inline const char* name(Phase p) {
   }
 }
 
-// Is `p` one of the collection phases? Used by the leaf collector to
-// decide whether it is the top-level pause (record it) or a step of an
-// enclosing join/internal/emergency pause (the encloser records).
+// Is `p` one of the collection phases? The leaf collector keeps an
+// enclosing collection phase as its own (its pause is that driver's
+// copy step) and tags itself leaf-GC only outside one.
 inline bool is_gc(Phase p) {
   return p == Phase::kLeafGc || p == Phase::kJoinGc ||
          p == Phase::kInternalGc || p == Phase::kGlobalGc ||
-         p == Phase::kParallelEvac;
+         p == Phase::kStwGc || p == Phase::kParallelEvac;
 }
 
 inline constexpr unsigned kSlots = 64;  // power of two (slot = id & mask)

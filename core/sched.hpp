@@ -12,16 +12,15 @@
 // growth aside).
 //
 // Deque <-> gate memory-ordering contract (shared with SafepointGate
-// below and the STW runtime's inlined copy of the same protocol): a
-// task sitting in a deque is INERT -- it is not a member of any gate's
-// running set and holds no heap or runtime state that a stopper could
-// need quiesced. A task joins the running set only when the worker
-// that dequeued it executes it and that execution activates the gate
-// (branch_enter / the STW fork path), which is a seq_cst RMW on the
-// executing worker's own slot, Dekker-paired with the stopper's
-// seq_cst stop-flag store + count read. Stoppers therefore never
-// inspect deque contents, and the deque's internal orderings only have
-// to publish the task payload from pusher to taker (see
+// below): a task sitting in a deque is INERT -- it is not a member of
+// any gate's running set and holds no heap or runtime state that a
+// stopper could need quiesced. A task joins the running set only when
+// the worker that dequeued it executes it and that execution activates
+// the gate (branch_enter / a runtime's fork path), which is a seq_cst
+// RMW on the executing worker's own slot, Dekker-paired with the
+// stopper's seq_cst stop-flag store + count read. Stoppers therefore
+// never inspect deque contents, and the deque's internal orderings only
+// have to publish the task payload from pusher to taker (see
 // core/deque.hpp); no ordering edge between deque indices and gate
 // flags is required for stop correctness. The one cross-component
 // ordering this file does own is the push-vs-park Dekker pair on
@@ -42,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/heap.hpp"  // SpinLock
 #include "core/phase.hpp"
 #include "core/profiler.hpp"
 #include "core/sig_io.hpp"  // sig_write / sig_write_i64 (hoisted from here)
@@ -362,9 +362,10 @@ class WorkStealPool {
   std::condition_variable sleep_cv_;
 };
 
-// Cooperative pause/resume gate for runtimes that must occasionally
-// quiesce every running task (hierarchy-aware internal-heap collection;
-// the same protocol StwRuntime inlines for its stop-the-world cycles):
+// Cooperative pause/resume gate, the one stop-the-world protocol of
+// every runtime that must occasionally quiesce all running tasks
+// (hier's join, internal and emergency collections; localheap's
+// global collection; StwRuntime's collections):
 //
 //   - Tasks enter/leave the running set with activate()/deactivate(),
 //     one seq_cst RMW on their own worker's cache line plus a flag
@@ -372,14 +373,14 @@ class WorkStealPool {
 //     Entering blocks while a stop is pending.
 //   - Running tasks poll pending() at their safepoints (allocation slow
 //     paths, fork/join boundaries) and park() through a pending stop.
-//   - A stopper calls begin_stop(); once it returns true, every other
-//     member of the running set is parked at a safepoint and stays
-//     parked until end_stop(). A false return means another stop was
-//     already pending and the caller was parked through it instead.
+//   - A stopper holds a StopGuard (below). Once it reports the stop
+//     won, every other member of the running set is parked at a
+//     safepoint and stays parked until the guard dies. A lost stop
+//     means another was already pending and the caller was parked
+//     through it instead.
 //
 // Progress is cooperative: an activated task that neither reaches a
-// safepoint nor deactivates stalls a pending stop (the same contract as
-// the STW runtime's pause).
+// safepoint nor deactivates stalls a pending stop.
 class SafepointGate;
 
 // Process-global table of live SafepointGates so the test watchdog's
@@ -472,25 +473,6 @@ class SafepointGate {
     wait_out(lk);
   }
 
-  bool begin_stop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (stop_pending_) {
-      wait_out(lk);
-      return false;
-    }
-    stop_pending_ = true;
-    stop_flag_.store(true, std::memory_order_seq_cst);
-    pause_cv_.wait(lk, [&] { return paused_ == running() - 1; });
-    return true;
-  }
-
-  void end_stop() {
-    std::lock_guard<std::mutex> g(mu_);
-    stop_pending_ = false;
-    stop_flag_.store(false, std::memory_order_seq_cst);
-    done_cv_.notify_all();
-  }
-
   // ---- parked-mutator recruitment ----------------------------------
   //
   // While a stop is in progress the parked tasks are idle CPU: the
@@ -505,8 +487,8 @@ class SafepointGate {
   // and only then calls retract_team(), before end_stop().
   //
   // The callback is a plain function pointer because this header
-  // cannot see gc_parallel.hpp (which includes it); the driver passes
-  // a trampoline that downcasts `arg`.
+  // cannot see gc_parallel.hpp (which includes it); collect_stopped
+  // there passes a trampoline that downcasts `arg`.
   void offer_team(void (*fn)(void*, unsigned), void* arg, unsigned next,
                   unsigned limit) {
     std::lock_guard<std::mutex> g(mu_);
@@ -554,9 +536,32 @@ class SafepointGate {
   }
 
  private:
+  friend class StopGuard;
+
   struct alignas(64) Slot {
     std::atomic<int> active{0};
   };
+
+  // True once every other running task is parked; false when another
+  // stop was pending and the caller was parked through it instead.
+  bool begin_stop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (stop_pending_) {
+      wait_out(lk);
+      return false;
+    }
+    stop_pending_ = true;
+    stop_flag_.store(true, std::memory_order_seq_cst);
+    pause_cv_.wait(lk, [&] { return paused_ == running() - 1; });
+    return true;
+  }
+
+  void end_stop() {
+    std::lock_guard<std::mutex> g(mu_);
+    stop_pending_ = false;
+    stop_flag_.store(false, std::memory_order_seq_cst);
+    done_cv_.notify_all();
+  }
 
   unsigned running() const {
     long n = 0;
@@ -603,6 +608,102 @@ class SafepointGate {
   void* team_arg_ = nullptr;
   unsigned team_next_ = 0;
   unsigned team_limit_ = 0;
+};
+
+// A stop of a SafepointGate, released when the guard dies -- on every
+// exit path, a collector's OS-level allocation failure included, so no
+// driver can leave the world stopped. Test the guard: false means
+// another driver's stop was pending and this thread was parked through
+// it instead (possibly evacuating for it). A won stop bills its wall
+// time, from every other running task parked to the release, to
+// gc_pause_ns.
+class StopGuard {
+ public:
+  StopGuard(SafepointGate& gate, StatsCell& stats)
+      : gate_(gate), stats_(stats), won_(gate.begin_stop()),
+        t0_(won_ ? trace::now_ns() : 0) {}
+  ~StopGuard() {
+    if (won_) {
+      const std::uint64_t pause = trace::now_ns() - t0_;
+      gate_.end_stop();
+      stats_.gc_pause_ns.fetch_add(pause, std::memory_order_relaxed);
+    }
+  }
+  StopGuard(const StopGuard&) = delete;
+  StopGuard& operator=(const StopGuard&) = delete;
+
+  explicit operator bool() const { return won_; }
+
+ private:
+  SafepointGate& gate_;
+  StatsCell& stats_;
+  bool won_;
+  std::uint64_t t0_;
+};
+
+// Per-worker intrusive registry of a runtime's live task contexts, so a
+// driver on a stopped world can walk every task's frames and heaps.
+// Each list is mutated only from its own worker's thread, so its
+// spinlock is uncontended except against a driver walking the lists.
+// Ctx holds a `Link reg_` and befriends the registry.
+template <class Ctx>
+class CtxRegistry {
+ public:
+  // No member initialisers on purpose: add() writes every field, and
+  // fork2 builds two contexts per call -- dead stores here show up in
+  // the fork row.
+  struct Link {
+    Ctx* prev;
+    Ctx* next;
+    unsigned home;
+  };
+
+  explicit CtxRegistry(unsigned workers) : slots_(workers) {}
+
+  // Register `c` on the calling thread's list (`worker` is its index).
+  void add(Ctx* c, unsigned worker) {
+    Slot& s = slots_[worker];
+    c->reg_.home = worker;
+    std::lock_guard<SpinLock> g(s.lock);
+    c->reg_.prev = nullptr;
+    c->reg_.next = s.head;
+    if (s.head != nullptr) {
+      s.head->reg_.prev = c;
+    }
+    s.head = c;
+  }
+
+  void remove(Ctx* c) {
+    Slot& s = slots_[c->reg_.home];
+    std::lock_guard<SpinLock> g(s.lock);
+    if (c->reg_.prev != nullptr) {
+      c->reg_.prev->reg_.next = c->reg_.next;
+    } else {
+      s.head = c->reg_.next;
+    }
+    if (c->reg_.next != nullptr) {
+      c->reg_.next->reg_.prev = c->reg_.prev;
+    }
+  }
+
+  // fn(Ctx*) for every registered context, each list under its lock.
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    for (Slot& s : slots_) {
+      std::lock_guard<SpinLock> g(s.lock);
+      for (Ctx* c = s.head; c != nullptr; c = c->reg_.next) {
+        fn(c);
+      }
+    }
+  }
+
+ private:
+  struct alignas(64) Slot {
+    SpinLock lock;
+    Ctx* head = nullptr;
+  };
+
+  std::vector<Slot> slots_;  // one per pool worker; fixed size
 };
 
 }  // namespace parmem

@@ -1,8 +1,10 @@
 // Runtime-wide counters and tuning knobs shared by every runtime
-// flavour (hier today; seq/stw/localheap in later PRs). Counters are
+// flavour. Counters are
 // updated only on slow paths (promotion, GC, chunk traffic) so they
 // never tax the nanosecond fast paths.
 #pragma once
+
+#include <time.h>
 
 #include <atomic>
 #include <cstddef>
@@ -26,7 +28,15 @@ struct Stats {
   std::uint64_t promo_claim_conflicts = 0;  // lost fine-grained CAS claims
   std::uint64_t gc_count = 0;          // collections (leaf or stop-the-world)
   std::uint64_t gc_bytes_copied = 0;   // live bytes evacuated by GC
-  std::uint64_t gc_ns = 0;             // GC time; STW adds stopped workers
+  // CPU time the collecting threads spent in collections
+  // (thread_cpu_ns): the sequential collector's own thread, or every
+  // member of an evacuation team. Billed only by leaf_gc_collect and
+  // collect_stopped, so it means the same in every runtime.
+  std::uint64_t gc_ns = 0;
+  // Wall time the world stood stopped: for each won stop, from every
+  // other running task parked to the release (StopGuard). Zero for a
+  // runtime that never stops the world.
+  std::uint64_t gc_pause_ns = 0;
   std::uint64_t forks = 0;             // fork2 calls
   // Hierarchy-aware internal-heap collections (core/gc_internal.hpp).
   // These are billed to the runtime that owns the collected heap and are
@@ -53,6 +63,7 @@ struct Stats {
     gc_count += o.gc_count;
     gc_bytes_copied += o.gc_bytes_copied;
     gc_ns += o.gc_ns;
+    gc_pause_ns += o.gc_pause_ns;
     forks += o.forks;
     internal_gc_count += o.internal_gc_count;
     internal_gc_bytes += o.internal_gc_bytes;
@@ -71,6 +82,7 @@ struct Stats {
     d.gc_count = gc_count - o.gc_count;
     d.gc_bytes_copied = gc_bytes_copied - o.gc_bytes_copied;
     d.gc_ns = gc_ns - o.gc_ns;
+    d.gc_pause_ns = gc_pause_ns - o.gc_pause_ns;
     d.forks = forks - o.forks;
     d.internal_gc_count = internal_gc_count - o.internal_gc_count;
     d.internal_gc_bytes = internal_gc_bytes - o.internal_gc_bytes;
@@ -110,6 +122,7 @@ struct StatsCell {
   std::atomic<std::uint64_t> gc_count{0};
   std::atomic<std::uint64_t> gc_bytes_copied{0};
   std::atomic<std::uint64_t> gc_ns{0};
+  std::atomic<std::uint64_t> gc_pause_ns{0};
   std::atomic<std::uint64_t> forks{0};
   std::atomic<std::uint64_t> internal_gc_count{0};
   std::atomic<std::uint64_t> internal_gc_bytes{0};
@@ -127,6 +140,7 @@ struct StatsCell {
     s.gc_count = gc_count.load(std::memory_order_relaxed);
     s.gc_bytes_copied = gc_bytes_copied.load(std::memory_order_relaxed);
     s.gc_ns = gc_ns.load(std::memory_order_relaxed);
+    s.gc_pause_ns = gc_pause_ns.load(std::memory_order_relaxed);
     s.forks = forks.load(std::memory_order_relaxed);
     s.internal_gc_count = internal_gc_count.load(std::memory_order_relaxed);
     s.internal_gc_bytes = internal_gc_bytes.load(std::memory_order_relaxed);
@@ -136,6 +150,14 @@ struct StatsCell {
     return s;
   }
 };
+
+// CPU time consumed by the calling thread, the clock gc_ns is billed in.
+inline std::uint64_t thread_cpu_ns() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
 
 // Stable small integer id for the calling thread, assigned on first
 // use and fixed for the thread's lifetime. Shard pickers (stats,

@@ -79,7 +79,7 @@ inline bool write(const std::string& path, const char* runtime,
       "\"promotions\":%llu,\"promoted_objects\":%llu,"
       "\"promoted_bytes\":%llu,\"promo_claim_conflicts\":%llu,"
       "\"gc_count\":%llu,\"gc_bytes_copied\":%llu,\"gc_ns\":%llu,"
-      "\"forks\":%llu,\"internal_gc_count\":%llu,"
+      "\"gc_pause_ns\":%llu,\"forks\":%llu,\"internal_gc_count\":%llu,"
       "\"internal_gc_bytes\":%llu,\"global_gc_count\":%llu,"
       "\"global_gc_bytes\":%llu,\"emergency_gcs\":%llu},"
       "\"memory\":{\"live_bytes\":%llu,\"peak_bytes\":%llu},",
@@ -90,6 +90,7 @@ inline bool write(const std::string& path, const char* runtime,
       static_cast<unsigned long long>(s.gc_count),
       static_cast<unsigned long long>(s.gc_bytes_copied),
       static_cast<unsigned long long>(s.gc_ns),
+      static_cast<unsigned long long>(s.gc_pause_ns),
       static_cast<unsigned long long>(s.forks),
       static_cast<unsigned long long>(s.internal_gc_count),
       static_cast<unsigned long long>(s.internal_gc_bytes),

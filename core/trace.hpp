@@ -46,10 +46,11 @@
 namespace parmem::trace {
 
 enum class Ev : std::uint8_t {
-  kGcLeaf = 0,   // leaf/STW-sequential collection pause
+  kGcLeaf = 0,   // a task collecting its own heap, no stop (and
+                 // hier's emergency sweep, which has no kind of its own)
   kGcJoin,       // join-time stopped-world collection pause
   kGcInternal,   // internal-heap stopped-world collection pause
-  kGcStw,        // STW runtime's recruited-team collection pause
+  kGcStw,        // StwRuntime's stopped-world collection pause
   kGcGlobal,     // local-heap runtime's global-heap collection pause
   kEmergency,    // whole emergency cascade (its collections also
                  // record individually under the kinds above)
@@ -83,6 +84,7 @@ inline Ev pause_kind_from_phase(phase::Phase p) {
     case phase::Phase::kJoinGc:     return Ev::kGcJoin;
     case phase::Phase::kInternalGc: return Ev::kGcInternal;
     case phase::Phase::kGlobalGc:   return Ev::kGcGlobal;
+    case phase::Phase::kStwGc:      return Ev::kGcStw;
     default:                        return Ev::kGcLeaf;
   }
 }

@@ -31,9 +31,9 @@
 // collection root discovery (core/gc_internal.hpp) with target =
 // global and the local heaps as the descendant set. Parked mutators
 // are recruited as evacuators through the gate's team handoff
-// (core/gc_parallel.hpp). With the threshold off (the default), the
-// global heap remains a run()-scoped allocation sink, preserving the
-// paper-baseline behaviour fig10 measures.
+// (core/gc_parallel.hpp collect_stopped). With the threshold off (the
+// default), the global heap remains a run()-scoped allocation sink,
+// preserving the paper-baseline behaviour fig10 measures.
 //
 // All promotions serialize on the global heap's lock, mirroring
 // Manticore's stop-less but serialized global-heap growth.
@@ -593,32 +593,22 @@ class LhRuntime {
         return;
       }
     }
-    if (!gate_.begin_stop()) {
+    StopGuard stop(gate_, stats_.local());
+    if (!stop) {
       return;  // parked through another driver's stop instead
     }
     // The global-GC phase tag makes the collection below record as a
     // gc_global pause (trace::pause_kind_from_phase).
     phase::PhaseScope gc_scope(phase::Phase::kGlobalGc);
     global_doorbell_.store(false, std::memory_order_relaxed);
-    try {
-      collect_global_stopped();
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
+    collect_global_stopped();
   }
 
   // Emergency rung of the budget cascade (Ctx::emergency_collect). If
-  // another driver's stop is pending, park through it instead: its
-  // collection frees memory just the same, and the caller retries.
-  void drive_emergency_gc() {
-    if (gate_.pending()) {
-      gate_.park();
-      return;
-    }
-    drive_global_gc(/*forced=*/true);
-  }
+  // another driver's stop is pending, the stop parks through it
+  // instead: its collection frees memory just the same, and the caller
+  // retries.
+  void drive_emergency_gc() { drive_global_gc(/*forced=*/true); }
 
   // Collect the global heap. Precondition: the world is stopped --
   // every other member of the running set is parked at a safepoint or
@@ -632,11 +622,8 @@ class LhRuntime {
   // after promotion, and a stale promoted copy's forwarding word keeps
   // its master alive (and must be rewritten when the master moves).
   // That is exactly the internal-collection root discovery with
-  // target = global_ and the local heaps as the descendant set.
-  //
-  // Parked mutators are recruited as evacuators: the gate hands each a
-  // ParallelCollector slot, and one awake recruit claims any slots
-  // late sleepers leave unclaimed, so finish() always completes.
+  // target = global_ and the local heaps as the descendant set. Every
+  // parked mutator may be recruited as an evacuator.
   void collect_global_stopped() {
     if (global_.chunks() == nullptr) {
       global_.reset_remote_bytes();
@@ -657,41 +644,9 @@ class LhRuntime {
       };
       detail::internal_gc_emit_roots(&global_, locals, frame_roots, fn);
     };
-    const unsigned recruits = gate_.parked();
-    std::size_t live;
-    if (recruits > 0) {
-      const unsigned team = recruits + 1;
-      const std::uint64_t trace_t0 = trace::now_ns();
-      core::ParallelCollector pc(chunks_, std::vector<Heap*>{&global_},
-                                 core::ParallelGcOptions{team, 128});
-      pc.prepare(each_root);
-      gate_.offer_team(&run_team_slot, &pc, 1, team);
-      pc.run_worker(0);
-      core::ParallelGcOutcome out;
-      try {
-        out = pc.finish();  // waits for every recruit; rethrows an abort
-      } catch (...) {
-        gate_.retract_team();
-        throw;
-      }
-      gate_.retract_team();
-      live = out.totals.bytes_copied;
-      // The team path bills gc_count directly (no leaf_gc_collect
-      // underneath), so it records its own pause; gc_ns aggregates the
-      // team's summed busy time, like other team collections.
-      trace::record_gc_pause(trace::Ev::kGcGlobal, trace_t0, out.wall_ns,
-                             live);
-      stats_.local().gc_count.fetch_add(1, std::memory_order_relaxed);
-      stats_.local().gc_bytes_copied.fetch_add(live,
-                                               std::memory_order_relaxed);
-      stats_.local().gc_ns.fetch_add(out.totals.busy_ns,
-                                     std::memory_order_relaxed);
-    } else {
-      // Sequential path (no one parked to recruit): the shared leaf
-      // collector records the pause as gc_global via the ambient phase
-      // and bills gc_count / gc_bytes_copied / gc_ns itself.
-      live = leaf_gc_collect(&global_, &stats_.local(), each_root);
-    }
+    const std::size_t live =
+        collect_stopped(gate_, chunks_, &global_, pool_.workers(),
+                        &stats_.local(), each_root);
     global_.reset_remote_bytes();
     stats_.local().global_gc_count.fetch_add(1, std::memory_order_relaxed);
     stats_.local().global_gc_bytes.fetch_add(live, std::memory_order_relaxed);
@@ -702,10 +657,6 @@ class LhRuntime {
     // RSS at the sink's all-time high-water even though every cycle
     // empties it.
     chunks_.trim(chunks_.live_bytes());
-  }
-
-  static void run_team_slot(void* pc, unsigned slot) {
-    static_cast<core::ParallelCollector*>(pc)->run_worker(slot);
   }
 
   Options opts_;

@@ -5,7 +5,8 @@ Takes two collapsed-stack recordings (core/profiler.hpp output) --
 baseline and current -- normalizes each to sample shares, and reports
 where the time moved: per runtime phase first (the head segment of
 every folded stack: mutator / leaf-GC / join-GC / internal-GC /
-parallel-evac / promotion / steal / park / gate-stall), then per
+global-GC / stw-GC / parallel-evac / promotion / steal / park /
+gate-stall), then per
 function. This answers "the run got slower -- WHICH phase absorbed the
 extra time?" without the two recordings needing equal durations or
 sample counts.
@@ -22,7 +23,8 @@ from collections import defaultdict
 
 from flamegraph import parse_collapsed, symbolize
 
-GC_PHASES = ("leaf-GC", "join-GC", "internal-GC", "parallel-evac")
+GC_PHASES = ("leaf-GC", "join-GC", "internal-GC", "global-GC", "stw-GC",
+             "parallel-evac")
 
 
 def shares(stacks):

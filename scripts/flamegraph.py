@@ -25,7 +25,8 @@ import subprocess
 import sys
 
 PHASES = [
-    "mutator", "leaf-GC", "join-GC", "internal-GC", "parallel-evac",
+    "mutator", "leaf-GC", "join-GC", "internal-GC", "global-GC", "stw-GC",
+    "parallel-evac",
     "promotion", "steal", "park", "gate-stall",
 ]
 
@@ -36,6 +37,8 @@ PHASE_COLOR = {
     "leaf-GC": "#d9534f",
     "join-GC": "#c9302c",
     "internal-GC": "#b02a27",
+    "global-GC": "#a8322d",
+    "stw-GC": "#c23c35",
     "parallel-evac": "#e46a5f",
     "promotion": "#e0a030",
     "steal": "#5b84b1",

@@ -10,8 +10,8 @@ format (auto-detected per file):
     aggregate rows).
   * parmem stats JSON-lines (PARMEM_STATS_JSON output): records
     matched by runtime name + occurrence order; gated metrics are
-    counters.gc_ns, memory.peak_bytes, and each pause kind's
-    sum_ns / p95_ns / p99_ns.
+    counters.gc_ns, counters.gc_pause_ns, memory.peak_bytes, and each
+    pause kind's sum_ns / p95_ns / p99_ns.
 
 A row REGRESSES when current > baseline * (1 + threshold) and the
 absolute growth also exceeds --abs-floor (so sub-nanosecond noise on
@@ -76,6 +76,8 @@ def bench_rows(doc):
 
 def stats_metrics(rec):
     yield "counters.gc_ns", float(rec["counters"]["gc_ns"])
+    if "gc_pause_ns" in rec["counters"]:  # absent from older recordings
+        yield "counters.gc_pause_ns", float(rec["counters"]["gc_pause_ns"])
     yield "memory.peak_bytes", float(rec["memory"]["peak_bytes"])
     for kind, hist in rec.get("pauses", {}).items():
         for metric in ("sum_ns", "p95_ns", "p99_ns"):

@@ -286,8 +286,9 @@ PARMEM_TEST(parallel_gc_collects_promotion_forwarded_heaps) {
 }
 
 // The STW runtime's collections go through the recruited-team
-// evacuator whenever workers > 1; kernels must come out bit-identical
-// to the sequential runtime even under constant collection pressure.
+// evacuator whenever the stop parked a mutator; kernels must come out
+// bit-identical to the sequential runtime even under constant
+// collection pressure.
 PARMEM_TEST(stw_parallel_evacuation_kernel_parity) {
   bench::Sizes z;
   z.scale = 0.001;

@@ -3,6 +3,8 @@
 // invariant (every Stats::gc_count increment yields exactly one pause
 // histogram entry), profiler-under-GC-stress correctness, and the
 // stats JSON export's structure.
+#include <time.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -130,11 +132,11 @@ PARMEM_TEST(observe_phase_scopes_restore_across_fork_and_steal) {
 // ---- pause-histogram / gc_count invariant ---------------------------------
 
 // Every Stats::gc_count increment must record exactly one pause event
-// among {gc_leaf, gc_join, gc_internal, gc_stw}: sum those four
-// histograms and compare against the runtime's own counter, under
-// stress so every collector (leaf, join, internal, parallel, STW team)
-// contributes. Runtimes run one at a time and are destroyed (workers
-// joined) before the trace snapshot, so the counts are quiescent.
+// among the five pause kinds: sum those histograms and compare against
+// the runtime's own counter, under stress so every collector (leaf,
+// join, internal, parallel, STW team) contributes. Runtimes run one at
+// a time and are destroyed (workers joined) before the trace snapshot,
+// so the counts are quiescent.
 PARMEM_TEST(observe_pause_histogram_totals_match_gc_counters) {
   const Sizes z = [] {
     Sizes s;
@@ -160,19 +162,27 @@ PARMEM_TEST(observe_pause_histogram_totals_match_gc_counters) {
     CHECK_EQ(trace::snapshot().pause_count(), gcs);
   }
 
-  {  // stw with a 1-byte budget: recruited-team evacuations.
+  // stw with a 1-byte budget: every collection is a stop of the world
+  // and records as gc_stw, whether the driver copies alone (always at
+  // workers=1) or with recruited parked mutators.
+  for (unsigned workers : {1u, 2u}) {
     trace::reset();
     std::uint64_t gcs = 0;
     {
       StwRuntime::Options o;
-      o.workers = 2;
+      o.workers = workers;
       o.gc_min_budget = 1;
       StwRuntime rt(o);
       (void)bench_strassen(rt, z);
       gcs = rt.stats().gc_count;
     }
     CHECK(gcs > 0);
-    CHECK_EQ(trace::snapshot().pause_count(), gcs);
+    const trace::Snapshot tr = trace::snapshot();
+    CHECK_EQ(tr.pause_count(), gcs);
+    CHECK_EQ(tr.by_kind[static_cast<unsigned>(trace::Ev::kGcStw)].count(),
+             gcs);
+    CHECK_EQ(tr.by_kind[static_cast<unsigned>(trace::Ev::kGcLeaf)].count(),
+             0u);
   }
 
   {  // localheap: sequential leaf collections + promotions.
@@ -208,6 +218,13 @@ PARMEM_TEST(observe_pause_histogram_totals_match_gc_counters) {
 
 // ---- profiler under GC stress ---------------------------------------------
 
+std::uint64_t process_cpu_ns() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 // The sampling profiler's SIGPROF handler interrupts collectors,
 // promotions, and barrier slow paths at ~1 kHz; the kernel's checksum
 // must be byte-identical to an unprofiled sequential run, and the
@@ -223,10 +240,15 @@ PARMEM_TEST(observe_profiler_gc_stress_checksum_correct) {
 
   CHECK(profiler::start(997));
   CHECK(profiler::running());
-  // Repeat until CPU time has accrued enough for at least one sample
-  // (ITIMER_PROF counts consumed CPU; timer delivery can lag inside
-  // containers, so keep burning until one lands).
-  for (int round = 0; round < 400; ++round) {
+  // Repeat until a sample lands. ITIMER_PROF counts consumed process
+  // CPU, but delivery lags it by tens of timer periods: the first
+  // sample took 22-87 ms of process CPU in 140 runs on a 4-vCPU box,
+  // under concurrent load, while 400 rounds burn only about 80 ms. So
+  // the loop is bounded by consumed CPU, not by a round count whose
+  // cost varies from box to box.
+  constexpr std::uint64_t kBurnCpuNs = 2'000'000'000;
+  const std::uint64_t cpu0 = process_cpu_ns();
+  for (int round = 0; process_cpu_ns() - cpu0 < kBurnCpuNs; ++round) {
     HierRuntime::Options o;
     o.workers = 2;
     o.gc_stress = true;

@@ -1,13 +1,14 @@
 // Scheduler-layer tests: Chase-Lev deque semantics and torture, the
-// push-vs-park wakeup protocol, oversubscribed pools (threads > cores,
-// the contended-steal regime the 1-core CI box can actually produce),
-// sharded-stats exactness, and the ChunkPool's size-class caches and
-// slot regions.
+// push-vs-park wakeup protocol, the safepoint gate's StopGuard and
+// registry, oversubscribed pools (threads > cores, the contended-steal
+// regime the 1-core CI box can actually produce), sharded-stats
+// exactness, and the ChunkPool's size-class caches and slot regions.
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -241,6 +242,55 @@ int fork_tree(typename RT::Ctx& c, int depth) {
       c, {}, [&](Ctx& cc) { return fork_tree<RT>(cc, depth - 1); },
       [&](Ctx& cc) { return fork_tree<RT>(cc, depth - 1); });
   return a + b;
+}
+
+// A stop whose body throws must still end: the guard releases the
+// gate during unwinding, so the world runs again and a task blocked
+// entering the running set gets in. The won stop bills its pause.
+PARMEM_TEST(sched_stop_guard_ends_stop_on_throw) {
+  SafepointGate gate(2);
+  StatsCell stats;
+  std::atomic<bool> entered{false};
+  std::thread other;
+  gate.activate(0);
+  try {
+    StopGuard stop(gate, stats);
+    CHECK(stop);
+    CHECK(gate.pending());
+    other = std::thread([&] {
+      gate.activate(1);  // blocks until the stop ends
+      entered.store(true, std::memory_order_release);
+      gate.deactivate(1);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    CHECK(!entered.load(std::memory_order_acquire));
+    throw std::runtime_error("collector failed");
+  } catch (const std::runtime_error&) {
+  }
+  CHECK(!gate.pending());
+  other.join();
+  CHECK(entered.load(std::memory_order_acquire));
+  CHECK(stats.gc_pause_ns.load() > 0);
+  gate.deactivate(0);
+}
+
+unsigned live_gates() {
+  unsigned n = 0;
+  GateRegistry::for_each([&n](SafepointGate*) { ++n; });
+  return n;
+}
+
+// StwRuntime stops the world through a SafepointGate like every other
+// runtime, so the test watchdog finds and dumps its gate on a hang.
+PARMEM_TEST(sched_stw_gate_visible_to_watchdog) {
+  const unsigned before = live_gates();
+  {
+    StwRuntime::Options o;
+    o.workers = 2;
+    StwRuntime rt(o);
+    CHECK_EQ(live_gates(), before + 1);
+  }
+  CHECK_EQ(live_gates(), before);
 }
 
 // Sharded stats must aggregate to EXACTLY what the old single
