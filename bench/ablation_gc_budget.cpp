@@ -1,9 +1,11 @@
 // Ablation: leaf-GC budget sensitivity. The hierarchical collector
-// triggers a leaf collection when a heap's allocation since its last
-// collection exceeds max(min_budget, growth * live). Smaller budgets
-// collect more often (more copying, less memory); larger budgets trade
-// memory for time. This sweep quantifies the trade-off on the
-// allocation-heavy msort-pure benchmark.
+// triggers a leaf collection when a heap's chunk bytes reach
+// max(min_budget, growth * estimate), the estimate being the bytes its
+// last collection evacuated plus what joins carried up since (see
+// Heap::join_children). Smaller budgets collect more often (more
+// copying, less memory); larger budgets trade memory for time. This
+// sweep quantifies the trade-off on the allocation-heavy msort-pure
+// benchmark.
 #include <cstdio>
 
 #include "bench_common/harness.hpp"

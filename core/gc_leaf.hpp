@@ -23,7 +23,8 @@
 namespace parmem {
 
 // `root_iter(fn)` must invoke fn(Object** slot) for every live root
-// slot of the owning task. Returns live bytes evacuated.
+// slot of the owning task. Returns live bytes evacuated, and records
+// them on the heap for its leaf-GC trigger (Heap::note_collected).
 template <class RootIter>
 std::size_t leaf_gc_collect(Heap* heap, StatsCell* stats,
                             RootIter&& root_iter) {
@@ -124,9 +125,7 @@ std::size_t leaf_gc_collect(Heap* heap, StatsCell* stats,
     heap->pool()->release(from);
     from = n;
   }
-  // A full collection settles all promoted-into growth: survivors were
-  // re-copied, the rest died with from-space.
-  heap->reset_remote_bytes();
+  heap->note_collected(copied);
 
   // The pause span ends before the CPU clock is read: that read is a
   // system call (~0.2 us), not part of the collection.

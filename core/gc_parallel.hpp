@@ -379,7 +379,8 @@ class ParallelCollector {
     }
     out.claim_conflicts = out.totals.claim_conflicts;
     for (Heap* h : heaps_) {
-      h->reset_remote_bytes();  // full collection settles promoted-into growth
+      // Every survivor now sits in the target.
+      h->note_collected(h == target ? out.totals.bytes_copied : 0);
     }
     release_from_space();
     return out;

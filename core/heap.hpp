@@ -558,6 +558,16 @@ class ChunkPool {
   std::atomic<std::size_t> budget_{0};  // 0 = unlimited
 };
 
+// The one collection trigger of every runtime: a heap collects once its
+// chunks reach `growth` times the live bytes its last collection left,
+// and never below `min_bytes`.
+inline std::size_t gc_trigger_bytes(std::size_t min_bytes, double growth,
+                                    std::size_t live) {
+  const auto scaled =
+      static_cast<std::size_t>(static_cast<double>(live) * growth);
+  return std::max(min_bytes, scaled);
+}
+
 // One node of the heap tree. Leaf heaps are bumped lock-free by their
 // owning task; internal heaps only grow via promotion, which
 // synchronises with either the heap mutex (coarse path locking) or the
@@ -618,6 +628,26 @@ class Heap {
   }
   void reset_remote_bytes() {
     remote_bytes_.store(0, std::memory_order_relaxed);
+  }
+
+  // Leaf-GC trigger state. The owner collects once gc_due, that is once
+  // chunk_bytes() reaches gc_trigger_bytes(min, growth, live_estimate()).
+  // A collection of this heap, by any collector, records what it
+  // evacuated through note_collected; a join then adds the larger
+  // child's estimate (join_children), so a merged heap is not
+  // re-collected just for holding its children's survivors.
+  std::size_t live_estimate() const { return live_estimate_; }
+  bool gc_due(std::size_t min_bytes, double growth) const {
+    return bytes_ >= gc_trigger_bytes(min_bytes, growth, live_estimate_);
+  }
+
+  // A full collection just evacuated `live` bytes into this heap. It
+  // also settles all promoted-into growth: survivors were re-copied, the
+  // rest died with from-space.
+  void note_collected(std::size_t live) {
+    survivor_bytes_ = live;
+    live_estimate_ = live;
+    reset_remote_bytes();
   }
 
   // Current chunk-growth step (4 KiB doubling to 256 KiB). Exposed so
@@ -707,8 +737,28 @@ class Heap {
     return h;
   }
 
-  // Fold `child` into this heap at join: every surviving child object
-  // keeps its address; only the chunk->heap back-pointers change.
+  // fork2's join: fold both child leaves into this heap and carry their
+  // estimates. The estimate becomes this heap's own survivors plus the
+  // LARGER child's estimate, not the sum. Survivors a child recorded may
+  // be dead by the join (the child dropped them), and summing every
+  // child's would let stale estimates compound up a fork tree until the
+  // merged heap never collects: a tree of leaves that each collect and
+  // then drop their data grows with its leaf count. With the larger
+  // child, each join adds one path's survivors, so the estimate stays
+  // below one root-to-leaf path of collections, and the peak stays
+  // near growth x live (test gc_budget_space_bound_flat_in_leaf_count).
+  // Own survivors, not own estimate: a heap that forks again and again
+  // without collecting does not add up every earlier join's children.
+  void join_children(Heap& a, Heap& b) {
+    const std::size_t carried = std::max(a.live_estimate_, b.live_estimate_);
+    merge_from(a);
+    merge_from(b);
+    live_estimate_ = survivor_bytes_ + carried;
+  }
+
+  // Fold `child` into this heap: every surviving child object keeps its
+  // address; only the chunk->heap back-pointers change. Leaves the live
+  // estimate alone (see join_children).
   void merge_from(Heap& child) {
     child.retire_tail();
     Chunk* h = child.head_;
@@ -739,6 +789,7 @@ class Heap {
     child.allocated_full_ = 0;
   }
 
+  // Drop every chunk, and with them the live set the estimate measured.
   void release_all_chunks() {
     Chunk* c = detach_chunks();
     while (c != nullptr) {
@@ -746,6 +797,8 @@ class Heap {
       pool_->release(c);
       c = n;
     }
+    survivor_bytes_ = 0;
+    live_estimate_ = 0;
   }
 
   // Adopt an externally built, fully retired chunk list (obj_end valid
@@ -831,6 +884,11 @@ class Heap {
   std::size_t next_chunk_bytes_ = kMinChunkBytes;  // doubles to kChunkBytes
   std::size_t bytes_ = 0;           // chunk footprint owned by this heap
   std::size_t allocated_full_ = 0;  // object bytes in retired chunks
+  // Written by collections of this heap (the owner's own, or a stopped
+  // world's while the owner is parked or blocked in fork2) and by the
+  // owner's joins; read by the owner's allocation slow path.
+  std::size_t survivor_bytes_ = 0;  // evacuated by the last collection
+  std::size_t live_estimate_ = 0;   // survivors + carried from joins
 
   // Remote group: written by OTHER workers promoting into this heap
   // (remote_bytes_ under the promotion protocol, the locks by the

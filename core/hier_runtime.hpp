@@ -59,7 +59,11 @@ class HierRuntime {
     PromotionMode promotion = PromotionMode::kCoarseLocking;
     std::size_t gc_min_budget = std::size_t{4} << 20;  // leaf bytes before GC
     std::size_t gc_join_threshold = 0;  // 0 = no collection at joins
-    double gc_growth_factor = 8.0;      // budget = max(min, factor * live)
+    // A heap collects once its chunks reach max(gc_min_budget, factor
+    // x its live estimate): the bytes its last collection evacuated,
+    // plus the larger child's estimate at each join since
+    // (Heap::join_children), so a join does not reset the budget.
+    double gc_growth_factor = 8.0;
     // Largest evacuation team for stopped-world collections (join,
     // internal and emergency; core/gc_parallel.hpp collect_stopped): up
     // to gc_parallel_team - 1 mutators parked by the stop are recruited
@@ -168,10 +172,9 @@ class HierRuntime {
       return v != nullptr ? Object::chase(v) : nullptr;
     }
 
-    // Force a leaf collection now (also used at joins when
-    // gc_join_threshold is set). A no-op on an empty heap: no stats
-    // churn, no budget rescale, and the chunk-doubling schedule keeps
-    // whatever step it had reached.
+    // Force a leaf collection now. A no-op on an empty heap: no stats
+    // churn, the live estimate stays, and the chunk-doubling schedule
+    // keeps whatever step it had reached.
     //
     // Roots are this task's own frames PLUS every ancestor's: an
     // ancestor Local CAN be the only reference into this heap (a
@@ -193,18 +196,13 @@ class HierRuntime {
       if (heap_->chunks() == nullptr) {
         return;
       }
-      std::size_t live = leaf_gc_collect(heap_, &rt_->stats_.local(),
-                                         [this](auto&& fn) {
-                                           for (Ctx* c = this; c != nullptr;
-                                                c = c->parent_) {
-                                             for (RootFrame* f = c->frames_;
-                                                  f != nullptr;
-                                                  f = f->prev()) {
-                                               f->for_each_slot(fn);
-                                             }
-                                           }
-                                         });
-      rescale_budget(live);
+      leaf_gc_collect(heap_, &rt_->stats_.local(), [this](auto&& fn) {
+        for (Ctx* c = this; c != nullptr; c = c->parent_) {
+          for (RootFrame* f = c->frames_; f != nullptr; f = f->prev()) {
+            f->for_each_slot(fn);
+          }
+        }
+      });
     }
 
     // Force a hierarchy-aware internal collection cycle from this
@@ -250,8 +248,7 @@ class HierRuntime {
         : rt_(rt),
           heap_(heap),
           parent_(parent),
-          mode_(rt->opts_.promotion),
-          gc_budget_(rt->opts_.gc_min_budget) {
+          mode_(rt->opts_.promotion) {
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
         rt_->ctxs_.add(this, rt_->pool_.current_index());
       }
@@ -273,7 +270,8 @@ class HierRuntime {
           collect_now();  // stress: leaf collection at every safepoint
         }
       }
-      if (heap_->chunk_bytes() >= gc_budget_) {
+      if (heap_->gc_due(rt_->opts_.gc_min_budget,
+                        rt_->opts_.gc_growth_factor)) {
         collect_now();
       }
       Object* o;
@@ -307,14 +305,6 @@ class HierRuntime {
       // collections also recorded individually above.
       trace::record_emergency(trace_t0, trace::now_ns() - trace_t0,
                               live_before);
-    }
-
-    void rescale_budget(std::size_t live) {
-      auto scaled = static_cast<std::size_t>(
-          static_cast<double>(live) * rt_->opts_.gc_growth_factor);
-      gc_budget_ = scaled > rt_->opts_.gc_min_budget
-                       ? scaled
-                       : rt_->opts_.gc_min_budget;
     }
 
     void distant_write_ptr(Object* o, std::uint32_t idx, Object* v) {
@@ -354,7 +344,6 @@ class HierRuntime {
     // is stable; collect_now roots from every frame chain along it.
     Ctx* parent_ = nullptr;
     PromotionMode mode_;
-    std::size_t gc_budget_;
     RootFrame* frames_ = nullptr;
     CtxRegistry<Ctx>::Link reg_;  // written only while registered
   };
@@ -492,8 +481,7 @@ class HierRuntime {
       rt->fork_exit_reactivate();
     }
 
-    parent->merge_from(heap_a);
-    parent->merge_from(heap_b);
+    parent->join_children(heap_a, heap_b);
     if ((rt->opts_.gc_join_threshold != 0 &&
          parent->allocated_bytes() >= rt->opts_.gc_join_threshold) ||
         __builtin_expect(rt->opts_.gc_stress, 0)) {
@@ -695,11 +683,12 @@ class HierRuntime {
   // Collect one heap on the already-stopped world, rooting from EVERY
   // task's frames plus descendant fields/forwarding words, with up to
   // gc_parallel_team evacuators. `bill_internal` adds the internal_gc_*
-  // pair on top of the ordinary gc_* counters. Returns live bytes
-  // evacuated.
-  std::size_t stopped_collect_heap(Heap* h, const std::vector<Ctx*>& ctxs,
-                                   const std::vector<Heap*>& heaps,
-                                   bool bill_internal) {
+  // pair on top of the ordinary gc_* counters. The collector records
+  // the bytes it evacuated on `h`, so the owner's next allocation slow
+  // path sees the collected live set, not the one before the stop.
+  void stopped_collect_heap(Heap* h, const std::vector<Ctx*>& ctxs,
+                            const std::vector<Heap*>& heaps,
+                            bool bill_internal) {
     auto frame_roots = [&ctxs](auto&& fn) {
       for (Ctx* c : ctxs) {
         for (RootFrame* f = c->frames_; f != nullptr; f = f->prev()) {
@@ -717,7 +706,6 @@ class HierRuntime {
       stats_.local().internal_gc_bytes.fetch_add(live,
                                                  std::memory_order_relaxed);
     }
-    return live;
   }
 
   // Join-time collection of `me`'s just-merged heap on a stopped
@@ -738,8 +726,7 @@ class HierRuntime {
     std::vector<Ctx*> ctxs;
     std::vector<Heap*> heaps;
     snapshot_registry(&ctxs, &heaps);
-    me->rescale_budget(stopped_collect_heap(me->heap_, ctxs, heaps,
-                                            /*bill_internal=*/false));
+    stopped_collect_heap(me->heap_, ctxs, heaps, /*bill_internal=*/false);
   }
 
   Options opts_;

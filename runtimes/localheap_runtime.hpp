@@ -107,10 +107,8 @@ class LhRuntime {
   struct WorkerState {
     Heap heap;
     RootFrame* frames = nullptr;
-    std::size_t gc_budget;
 
-    WorkerState(Heap* global, ChunkPool* pool, std::size_t budget)
-        : heap(global, 1, pool), gc_budget(budget) {}
+    WorkerState(Heap* global, ChunkPool* pool) : heap(global, 1, pool) {}
   };
 
  public:
@@ -186,18 +184,11 @@ class LhRuntime {
 
     void collect_now() {
       WorkerState* w = w_;
-      std::size_t live = leaf_gc_collect(&w->heap, &rt_->stats_.local(),
-                                         [w](auto&& fn) {
-                                           for (RootFrame* f = w->frames;
-                                                f != nullptr; f = f->prev()) {
-                                             f->for_each_slot(fn);
-                                           }
-                                         });
-      auto scaled = static_cast<std::size_t>(
-          static_cast<double>(live) * rt_->opts_.gc_growth_factor);
-      w->gc_budget = scaled > rt_->opts_.gc_min_budget
-                         ? scaled
-                         : rt_->opts_.gc_min_budget;
+      leaf_gc_collect(&w->heap, &rt_->stats_.local(), [w](auto&& fn) {
+        for (RootFrame* f = w->frames; f != nullptr; f = f->prev()) {
+          f->for_each_slot(fn);
+        }
+      });
     }
 
     // Force a global-heap collection cycle from this task's safepoint
@@ -257,7 +248,8 @@ class LhRuntime {
           collect_now();  // stress: leaf collection at every safepoint
         }
       }
-      if (w_->heap.chunk_bytes() >= w_->gc_budget) {
+      if (w_->heap.gc_due(rt_->opts_.gc_min_budget,
+                          rt_->opts_.gc_growth_factor)) {
         collect_now();
       }
       Object* o;
@@ -323,8 +315,7 @@ class LhRuntime {
                   chunks_.budget() != 0;
     workers_.reserve(pool_.workers());
     for (unsigned i = 0; i < pool_.workers(); ++i) {
-      workers_.push_back(std::make_unique<WorkerState>(
-          &global_, &chunks_, opts_.gc_min_budget));
+      workers_.push_back(std::make_unique<WorkerState>(&global_, &chunks_));
     }
   }
   LhRuntime(const LhRuntime&) = delete;
@@ -364,7 +355,6 @@ class LhRuntime {
       ~Teardown() {
         for (auto& w : rt->workers_) {
           w->heap.release_all_chunks();
-          w->gc_budget = rt->opts_.gc_min_budget;
         }
         rt->global_.release_all_chunks();
         rt->global_.reset_remote_bytes();

@@ -298,10 +298,8 @@ class StwRuntime {
             }
           });
         });
-    auto scaled = static_cast<std::size_t>(static_cast<double>(live) *
-                                           opts_.gc_growth_factor);
     gc_budget_.store(
-        scaled > opts_.gc_min_budget ? scaled : opts_.gc_min_budget,
+        gc_trigger_bytes(opts_.gc_min_budget, opts_.gc_growth_factor, live),
         std::memory_order_relaxed);
   }
 

@@ -238,6 +238,57 @@ PARMEM_TEST(internal_gc_stats_match_live_set) {
   });
 }
 
+// A stopped-world collection records what it evacuated on the heap it
+// collected, so the owner's leaf-GC trigger follows the collected live
+// set: the busy root heap's estimate equals the bytes the forced
+// internal collection copied, and after the join it is still that (the
+// child never collected, so it carries nothing). Sequential collector
+// and recruited team alike.
+PARMEM_TEST(internal_gc_records_survivors_on_heap) {
+  constexpr std::uint32_t kCells = 8;
+  for (unsigned team : {0u, 2u}) {
+    HierRuntime::Options opts = manual_internal(2);
+    opts.gc_parallel_team = team;
+    HierRuntime rt(opts);
+    rt.run([&rt](Ctx& ctx) {
+      RootFrame frame(ctx);
+      Local box = frame.local(ctx.alloc(kCells, 0));
+      // Garbage in the root heap, which the collection must not count.
+      for (int i = 0; i < 1000; ++i) {
+        Ctx::init_i64(ctx.alloc(0, 4), 0, i);
+      }
+      Heap* root_heap = ctx.leaf_heap();
+      std::uint64_t copied = 0;
+      HierRuntime::fork2(
+          ctx, {box},
+          [box, root_heap, &copied, &rt](Ctx& c) {
+            for (std::uint32_t i = 0; i < kCells; ++i) {
+              Object* cell = c.alloc(0, 1);
+              Ctx::init_i64(cell, 0, i + 1);
+              c.write_ptr(box.get(), i, cell);
+            }
+            Stats before = rt.stats();
+            c.collect_internal_now();
+            Stats d = rt.stats() - before;
+            CHECK_EQ(d.internal_gc_count, 1u);
+            copied = d.internal_gc_bytes;
+            CHECK_EQ(copied, Object::size_bytes(kCells, 0) +
+                                 kCells * Object::size_bytes(0, 1));
+            CHECK_EQ(root_heap->live_estimate(), copied);
+            return std::int64_t{0};
+          },
+          [](Ctx&) { return std::int64_t{0}; });
+      if (!rt.options().gc_stress) {  // stress collects again at the join
+        CHECK_EQ(root_heap->live_estimate(), copied);
+      }
+      for (std::uint32_t i = 0; i < kCells; ++i) {
+        CHECK_EQ(Ctx::read_i64_mut(Ctx::read_ptr(box.get(), i), 0), i + 1);
+      }
+      return 0;
+    });
+  }
+}
+
 // The allocation-triggered policy: with a small gc_internal_threshold,
 // promotions into the busy root heap ring the doorbell and the next
 // safepoint (an allocation slow path or fork2 boundary) collects it --
