@@ -82,6 +82,10 @@ struct alignas(kChunkHeaderBytes) Chunk {
   // collector reads it through foreign pointers in ancestor frames
   // while the chunk's owner may be handing it out or collecting it.
   std::atomic<bool> from_space{false};
+  // First word of this chunk's bits in a leaf mark pass's side bitmap
+  // (leaf_gc_mark); assigned afresh by each mark of the owning heap and
+  // read only by that mark.
+  std::size_t mark_word = 0;
 
   char* data() { return reinterpret_cast<char*>(this) + kChunkHeaderBytes; }
   char* data_limit() { return reinterpret_cast<char*>(this) + bytes; }
@@ -633,9 +637,10 @@ class Heap {
   // Leaf-GC trigger state. The owner collects once gc_due, that is once
   // chunk_bytes() reaches gc_trigger_bytes(min, growth, live_estimate()).
   // A collection of this heap, by any collector, records what it
-  // evacuated through note_collected; a join then adds the larger
-  // child's estimate (join_children), so a merged heap is not
-  // re-collected just for holding its children's survivors.
+  // evacuated through note_collected (or, kept in place, what it marked
+  // through note_kept); a join then adds the larger child's estimate
+  // (join_children), so a merged heap is not re-collected just for
+  // holding its children's survivors.
   std::size_t live_estimate() const { return live_estimate_; }
   bool gc_due(std::size_t min_bytes, double growth) const {
     return bytes_ >= gc_trigger_bytes(min_bytes, growth, live_estimate_);
@@ -648,6 +653,14 @@ class Heap {
     survivor_bytes_ = live;
     live_estimate_ = live;
     reset_remote_bytes();
+  }
+
+  // A budget-triggered collection measured `live` bytes and kept every
+  // object in place (collect_due in core/gc_leaf.hpp). Nothing
+  // promoted-into was reclaimed, so remote_bytes stays.
+  void note_kept(std::size_t live) {
+    survivor_bytes_ = live;
+    live_estimate_ = live;
   }
 
   // Current chunk-growth step (4 KiB doubling to 256 KiB). Exposed so
@@ -887,7 +900,7 @@ class Heap {
   // Written by collections of this heap (the owner's own, or a stopped
   // world's while the owner is parked or blocked in fork2) and by the
   // owner's joins; read by the owner's allocation slow path.
-  std::size_t survivor_bytes_ = 0;  // evacuated by the last collection
+  std::size_t survivor_bytes_ = 0;  // live after the last collection
   std::size_t live_estimate_ = 0;   // survivors + carried from joins
 
   // Remote group: written by OTHER workers promoting into this heap

@@ -172,14 +172,11 @@ class HierRuntime {
       return v != nullptr ? Object::chase(v) : nullptr;
     }
 
-    // Force a leaf collection now. A no-op on an empty heap: no stats
-    // churn, the live estimate stays, and the chunk-doubling schedule
-    // keeps whatever step it had reached.
-    //
-    // Roots are this task's own frames PLUS every ancestor's: an
-    // ancestor Local CAN be the only reference into this heap (a
-    // branch publishes its result into an ancestor's Local, and the
-    // object merges up into this heap at an intermediate join).
+    // The root iterator of this task's leaf collections (see
+    // leaf_gc_collect). Roots are this task's own frames PLUS every
+    // ancestor's: an ancestor Local CAN be the only reference into this
+    // heap (a branch publishes its result into an ancestor's Local, and
+    // the object merges up into this heap at an intermediate join).
     // Walking the ancestor chain from a RUNNING task is sound because
     // each ancestor sits blocked in fork2 between spawn and join, and
     // a frame chain's STRUCTURE is only ever mutated by its owner
@@ -192,17 +189,21 @@ class HierRuntime {
     // those under the runtime-api publish contract -- so the
     // collector's conditional rewrite (only slots pointing into this
     // heap's from-space) never races a concurrent store.
-    void collect_now() {
-      if (heap_->chunks() == nullptr) {
-        return;
-      }
-      leaf_gc_collect(heap_, &rt_->stats_.local(), [this](auto&& fn) {
+    auto roots() {
+      return [this](auto&& fn) {
         for (Ctx* c = this; c != nullptr; c = c->parent_) {
           for (RootFrame* f = c->frames_; f != nullptr; f = f->prev()) {
             f->for_each_slot(fn);
           }
         }
-      });
+      };
+    }
+
+    // Force a leaf collection now; it always evacuates. A no-op on an
+    // empty heap: no stats churn, the live estimate stays, and the
+    // chunk-doubling schedule keeps whatever step it had reached.
+    void collect_now() {
+      leaf_gc_collect(heap_, &rt_->stats_.local(), roots());
     }
 
     // Force a hierarchy-aware internal collection cycle from this
@@ -266,14 +267,10 @@ class HierRuntime {
         // be held across alloc, so a pending internal collection can
         // relocate while we park (or while we drive it ourselves).
         rt_->safepoint();
-        if (rt_->opts_.gc_stress) {
-          collect_now();  // stress: leaf collection at every safepoint
-        }
       }
-      if (heap_->gc_due(rt_->opts_.gc_min_budget,
-                        rt_->opts_.gc_growth_factor)) {
-        collect_now();
-      }
+      // Budget-triggered, or under GC stress at every safepoint.
+      collect_due(heap_, &rt_->stats_.local(), rt_->opts_.gc_min_budget,
+                  rt_->opts_.gc_growth_factor, rt_->opts_.gc_stress, roots());
       Object* o;
       try {
         o = heap_->bump_alloc(nptr, nscalar);

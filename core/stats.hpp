@@ -28,10 +28,16 @@ struct Stats {
   std::uint64_t promo_claim_conflicts = 0;  // lost fine-grained CAS claims
   std::uint64_t gc_count = 0;          // collections (leaf or stop-the-world)
   std::uint64_t gc_bytes_copied = 0;   // live bytes evacuated by GC
+  // Leaf collections that kept their heap in place instead of
+  // evacuating it (core/gc_leaf.hpp collect_due): budget-triggered ones
+  // that found it mostly live, and every other GC-stress one. Also
+  // counted in gc_count and gc_ns; they add nothing to gc_bytes_copied.
+  std::uint64_t gc_kept = 0;
   // CPU time the collecting threads spent in collections
   // (thread_cpu_ns): the sequential collector's own thread, or every
-  // member of an evacuation team. Billed only by leaf_gc_collect and
-  // collect_stopped, so it means the same in every runtime.
+  // member of an evacuation team. Billed only by the leaf collector
+  // (core/gc_leaf.hpp) and collect_stopped, so it means the same in
+  // every runtime.
   std::uint64_t gc_ns = 0;
   // Wall time the world stood stopped: for each won stop, from every
   // other running task parked to the release (StopGuard). Zero for a
@@ -62,6 +68,7 @@ struct Stats {
     promo_claim_conflicts += o.promo_claim_conflicts;
     gc_count += o.gc_count;
     gc_bytes_copied += o.gc_bytes_copied;
+    gc_kept += o.gc_kept;
     gc_ns += o.gc_ns;
     gc_pause_ns += o.gc_pause_ns;
     forks += o.forks;
@@ -81,6 +88,7 @@ struct Stats {
     d.promo_claim_conflicts = promo_claim_conflicts - o.promo_claim_conflicts;
     d.gc_count = gc_count - o.gc_count;
     d.gc_bytes_copied = gc_bytes_copied - o.gc_bytes_copied;
+    d.gc_kept = gc_kept - o.gc_kept;
     d.gc_ns = gc_ns - o.gc_ns;
     d.gc_pause_ns = gc_pause_ns - o.gc_pause_ns;
     d.forks = forks - o.forks;
@@ -121,6 +129,7 @@ struct StatsCell {
   std::atomic<std::uint64_t> promo_claim_conflicts{0};
   std::atomic<std::uint64_t> gc_count{0};
   std::atomic<std::uint64_t> gc_bytes_copied{0};
+  std::atomic<std::uint64_t> gc_kept{0};
   std::atomic<std::uint64_t> gc_ns{0};
   std::atomic<std::uint64_t> gc_pause_ns{0};
   std::atomic<std::uint64_t> forks{0};
@@ -139,6 +148,7 @@ struct StatsCell {
         promo_claim_conflicts.load(std::memory_order_relaxed);
     s.gc_count = gc_count.load(std::memory_order_relaxed);
     s.gc_bytes_copied = gc_bytes_copied.load(std::memory_order_relaxed);
+    s.gc_kept = gc_kept.load(std::memory_order_relaxed);
     s.gc_ns = gc_ns.load(std::memory_order_relaxed);
     s.gc_pause_ns = gc_pause_ns.load(std::memory_order_relaxed);
     s.forks = forks.load(std::memory_order_relaxed);

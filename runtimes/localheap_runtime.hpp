@@ -182,13 +182,17 @@ class LhRuntime {
       return rt_->promote_to_global(v);
     }
 
-    void collect_now() {
-      WorkerState* w = w_;
-      leaf_gc_collect(&w->heap, &rt_->stats_.local(), [w](auto&& fn) {
+    // Root iterator of this task's leaf collections.
+    auto roots() {
+      return [w = w_](auto&& fn) {
         for (RootFrame* f = w->frames; f != nullptr; f = f->prev()) {
           f->for_each_slot(fn);
         }
-      });
+      };
+    }
+
+    void collect_now() {
+      leaf_gc_collect(&w_->heap, &rt_->stats_.local(), roots());
     }
 
     // Force a global-heap collection cycle from this task's safepoint
@@ -244,14 +248,10 @@ class LhRuntime {
         // be held across alloc, so a pending global collection can
         // relocate while we park (or while we drive it ourselves).
         rt_->safepoint();
-        if (rt_->opts_.gc_stress) {
-          collect_now();  // stress: leaf collection at every safepoint
-        }
       }
-      if (w_->heap.gc_due(rt_->opts_.gc_min_budget,
-                          rt_->opts_.gc_growth_factor)) {
-        collect_now();
-      }
+      // Budget-triggered, or under GC stress at every safepoint.
+      collect_due(&w_->heap, &rt_->stats_.local(), rt_->opts_.gc_min_budget,
+                  rt_->opts_.gc_growth_factor, rt_->opts_.gc_stress, roots());
       Object* o;
       try {
         o = w_->heap.bump_alloc(nptr, nscalar);

@@ -89,12 +89,17 @@ class SeqRuntime {
 
     Object* publish(Object* v) { return v; }
 
-    void collect_now() {
-      leaf_gc_collect(heap_, &rt_->stats_.local(), [this](auto&& fn) {
+    // Root iterator of this task's leaf collections.
+    auto roots() {
+      return [this](auto&& fn) {
         for (RootFrame* f = frames_; f != nullptr; f = f->prev()) {
           f->for_each_slot(fn);
         }
-      });
+      };
+    }
+
+    void collect_now() {
+      leaf_gc_collect(heap_, &rt_->stats_.local(), roots());
     }
 
     SeqRuntime& runtime() { return *rt_; }
@@ -111,10 +116,8 @@ class SeqRuntime {
     Ctx(SeqRuntime* rt, Heap* heap) : rt_(rt), heap_(heap) {}
 
     Object* alloc_slow(std::uint32_t nptr, std::uint32_t nscalar) {
-      if (heap_->gc_due(rt_->opts_.gc_min_budget,
-                        rt_->opts_.gc_growth_factor)) {
-        collect_now();
-      }
+      collect_due(heap_, &rt_->stats_.local(), rt_->opts_.gc_min_budget,
+                  rt_->opts_.gc_growth_factor, /*stress=*/false, roots());
       Object* o;
       try {
         o = heap_->bump_alloc(nptr, nscalar);

@@ -114,21 +114,21 @@ PARMEM_TEST(gc_budget_carried_across_join) {
   });
 }
 
-// bench_map's kernel, rope_build then rope_map, at a size where many
-// fork levels pass a small gc_min_budget. With a budget each join reset
-// to the minimum, every level re-collected the merged subtree, so every
-// live byte was copied once per level (about six times here); carrying
-// the estimate copies it about once per log2(growth) levels.
-PARMEM_TEST(gc_budget_copy_volume_bounded) {
+// bench_map's kernel, rope_build then rope_map, on 2 workers: the bytes
+// its collections copied, and its final live set (both ropes, measured
+// by one more collection).
+struct CopyVolume {
+  std::uint64_t copied = 0;
+  std::uint64_t live = 0;
+};
+
+CopyVolume rope_map_copy_volume(std::size_t min_budget, std::int64_t n,
+                                std::int64_t grain) {
   HierRuntime::Options opts;
   opts.workers = 2;
-  opts.gc_min_budget = std::size_t{64} << 10;
+  opts.gc_min_budget = min_budget;
   HierRuntime rt(opts);
-  bench::Sizes z;
-  z.seq_n = std::int64_t{1} << 18;
-  z.seq_grain = 2048;
-  std::uint64_t kernel_copied = 0;
-  std::uint64_t live = 0;
+  CopyVolume v;
   rt.run([&](Ctx& c) {
     auto gen = [](std::int64_t i) {
       return static_cast<std::int64_t>(
@@ -137,21 +137,45 @@ PARMEM_TEST(gc_budget_copy_volume_bounded) {
     RootFrame fr(c);
     Local in = fr.local(nullptr);
     Local out = fr.local(nullptr);
-    in.set(bench::wl::rope_build<HierRuntime>(c, 0, z.seq_n, z.seq_grain, gen));
+    in.set(bench::wl::rope_build<HierRuntime>(c, 0, n, grain, gen));
     out.set(bench::wl::rope_map<HierRuntime>(
-        c, in, z.seq_grain, [](std::int64_t v) { return v * 3 + 1; }));
-    kernel_copied = rt.stats().gc_bytes_copied;
-    c.collect_now();  // measures the final live set: both ropes
-    live = rt.stats().gc_bytes_copied - kernel_copied;
-    CHECK_EQ(bench::wl::rope_count<Ctx>(out.get()), z.seq_n);
+        c, in, grain, [](std::int64_t x) { return x * 3 + 1; }));
+    v.copied = rt.stats().gc_bytes_copied;
+    c.collect_now();
+    v.live = rt.stats().gc_bytes_copied - v.copied;
+    CHECK_EQ(bench::wl::rope_count<Ctx>(out.get()), n);
     return 0;
   });
   std::fprintf(stderr, "copied %llu bytes for %llu live (%.2fx)\n",
-               static_cast<unsigned long long>(kernel_copied),
-               static_cast<unsigned long long>(live),
-               static_cast<double>(kernel_copied) / static_cast<double>(live));
-  CHECK(live >= 2 * 8 * static_cast<std::uint64_t>(z.seq_n));
-  CHECK(kernel_copied <= 4 * live);
+               static_cast<unsigned long long>(v.copied),
+               static_cast<unsigned long long>(v.live),
+               static_cast<double>(v.copied) / static_cast<double>(v.live));
+  CHECK(v.live >= 2 * 8 * static_cast<std::uint64_t>(n));
+  return v;
+}
+
+// At a size where many fork levels pass a small gc_min_budget. With a
+// budget each join reset to the minimum, every level re-collected the
+// merged subtree, so every live byte was copied once per level (about
+// six times here); carrying the estimate copies it about once per
+// log2(growth) levels.
+PARMEM_TEST(gc_budget_copy_volume_bounded) {
+  const CopyVolume v = rope_map_copy_volume(std::size_t{64} << 10,
+                                            std::int64_t{1} << 18, 2048);
+  CHECK(v.copied <= 4 * v.live);
+}
+
+// Larger, so the merged second-level heaps come out mostly live. The
+// join rule underestimates them on purpose (the larger child's
+// estimate, not the sum), so each is collected again; marking first
+// keeps them in place instead of copying them a second time (2.00x the
+// live set when every such collection evacuates, 1.00x with the keep).
+// At smaller sizes the last to-space chunk leaves those heaps only
+// 0.50-0.59 live and nothing is kept.
+PARMEM_TEST(gc_keep_copy_volume_near_live) {
+  const CopyVolume v = rope_map_copy_volume(std::size_t{1} << 20,
+                                            std::int64_t{1} << 22, 8192);
+  CHECK(4 * v.copied <= 5 * v.live);
 }
 
 // A fork tree whose leaves each build a list, collect with it live, churn

@@ -358,6 +358,7 @@ PARMEM_TEST(observe_stats_json_export_parses) {
     CHECK(json_object_line_wellformed(s));
     CHECK(s.find("\"runtime\":\"") != std::string::npos);
     CHECK(s.find("\"gc_count\":") != std::string::npos);
+    CHECK(s.find("\"gc_kept\":") != std::string::npos);
     CHECK(s.find("\"pauses\":{") != std::string::npos);
     CHECK(s.find("\"gc_leaf\":{\"count\":") != std::string::npos);
     CHECK(s.find("\"peak_bytes\":") != std::string::npos);
