@@ -61,34 +61,37 @@ namespace leaf_gc_detail {
 class Pause {
  public:
   Pause()
-      : cpu0_(thread_cpu_ns()),
+      : trace_t0_(trace::now_ns()),
+        cpu0_(thread_cpu_ns()),
         ambient_(phase::current()),
         kind_(trace::pause_kind_from_phase(ambient_)),
-        scope_(phase::is_gc(ambient_) ? ambient_ : phase::Phase::kLeafGc),
-        trace_t0_(trace::now_ns()) {}
+        scope_(phase::is_gc(ambient_) ? ambient_ : phase::Phase::kLeafGc) {}
   Pause(const Pause&) = delete;
   Pause& operator=(const Pause&) = delete;
 
-  void finish(StatsCell* stats, std::size_t copied, bool kept) {
-    // The pause span ends before the CPU clock is read: that read is a
-    // system call (~0.2 us), not part of the collection.
+  // `team_cpu_ns` is CPU time other threads spent on this collection
+  // (collect_stopped's recruits).
+  void finish(StatsCell* stats, std::size_t copied, bool kept,
+              std::uint64_t team_cpu_ns = 0) {
+    // The pause span encloses both CPU clock reads (system calls): on
+    // a stopped world the mutators wait through them too.
+    stats->gc_ns.fetch_add(thread_cpu_ns() - cpu0_ + team_cpu_ns,
+                           std::memory_order_relaxed);
     const std::uint64_t pause_ns = trace::now_ns() - trace_t0_;
     stats->gc_count.fetch_add(1, std::memory_order_relaxed);
     stats->gc_bytes_copied.fetch_add(copied, std::memory_order_relaxed);
     if (kept) {
       stats->gc_kept.fetch_add(1, std::memory_order_relaxed);
     }
-    stats->gc_ns.fetch_add(thread_cpu_ns() - cpu0_,
-                           std::memory_order_relaxed);
     trace::record_gc_pause(kind_, trace_t0_, pause_ns, copied);
   }
 
  private:
+  std::uint64_t trace_t0_;
   std::uint64_t cpu0_;
   phase::Phase ambient_;
   trace::Ev kind_;
   phase::PhaseScope scope_;
-  std::uint64_t trace_t0_;
 };
 
 // The mark pass's scratch, reused by every collection on this thread.

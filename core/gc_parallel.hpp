@@ -599,60 +599,65 @@ class ParallelCollector {
 
 }  // namespace core
 
-// Collect `victim` on a world stopped through `gate` (the caller holds a
-// won StopGuard). With max_team <= 1 the sequential leaf collector runs.
-// Otherwise the driver evacuates with up to max_team - 1 parked mutators
-// recruited as its team -- alone when nobody is parked: on StwRuntime's
-// merged heap a team of one stops the world about 10 % shorter than the
-// leaf collector (serve at P=2 on a 4-vCPU VM: 1.65 against 1.83 ms
-// per stop). `roots(fn)` calls fn(Object** slot) on every root slot of
-// the victim. Bills gc_count, gc_bytes_copied and gc_ns (the driver's
-// and the recruits' CPU time) once, and records one pause whose kind
-// follows the driver's phase. Returns the live bytes evacuated. An
-// allocation failure of the team (only an OS-level one: collector
-// context is exempt from budgets and injected faults) rethrows here,
-// fatal for the computation.
+// Collect `heaps` on a world stopped through `gate` (the caller holds a
+// won StopGuard): every heap after the first is merged into heaps[0],
+// which is then evacuated and receives every survivor. With max_team
+// <= 1 the sequential leaf collector runs. Otherwise the driver
+// evacuates with up to max_team - 1 parked mutators recruited as its
+// team -- alone when nobody is parked: on StwRuntime's merged heap a
+// team of one stops the world about 10 % shorter than the leaf
+// collector (serve at P=2 on a 4-vCPU VM: 1.65 against 1.83 ms per
+// stop). `roots(fn)` calls fn(Object** slot) on every root slot of the
+// collected heaps. Bills gc_count, gc_bytes_copied and gc_ns (the
+// driver's and the recruits' CPU time) once, and records one pause
+// whose kind follows the driver's phase; both clocks start before the
+// merge, so the pause covers the whole stopped collection. Returns the
+// live bytes evacuated. An allocation failure of the team (only an
+// OS-level one: collector context is exempt from budgets and injected
+// faults) rethrows here, fatal for the computation.
 template <class RootIter>
-std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool, Heap* victim,
-                            unsigned max_team, StatsCell* stats,
-                            RootIter&& roots) {
-  if (max_team <= 1 || victim->chunks() == nullptr) {
-    return leaf_gc_collect(victim, stats, roots);
+std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
+                            const std::vector<Heap*>& heaps, unsigned max_team,
+                            StatsCell* stats, RootIter&& roots) {
+  leaf_gc_detail::Pause pause;
+  Heap* victim = heaps.front();
+  for (std::size_t i = 1; i < heaps.size(); ++i) {
+    victim->merge_from(*heaps[i]);
   }
-  const unsigned parked = gate.parked();
-  const unsigned recruits = parked < max_team - 1 ? parked : max_team - 1;
-  const trace::Ev kind = trace::pause_kind_from_phase(phase::current());
-  const std::uint64_t cpu0 = thread_cpu_ns();
-  const std::uint64_t trace_t0 = trace::now_ns();
-  const unsigned team = recruits + 1;
-  core::ParallelCollector pc(pool, std::vector<Heap*>{victim},
-                             core::ParallelGcOptions{team, 128});
-  pc.prepare(roots);
-  gate.offer_team(
-      [](void* arg, unsigned slot) {
-        static_cast<core::ParallelCollector*>(arg)->run_worker(slot);
-      },
-      &pc, 1, team);
-  pc.run_worker(0);
-  core::ParallelGcOutcome out;
-  try {
-    out = pc.finish();  // waits for every recruit; rethrows a team abort
-  } catch (...) {
+  if (victim->chunks() == nullptr) {
+    return 0;  // nothing allocated since the last collection
+  }
+  std::size_t live = 0;
+  std::uint64_t team_cpu_ns = 0;
+  if (max_team <= 1) {
+    live = leaf_gc_detail::evacuate(victim, roots);
+  } else {
+    const unsigned parked = gate.parked();
+    const unsigned team = (parked < max_team - 1 ? parked : max_team - 1) + 1;
+    core::ParallelCollector pc(pool, std::vector<Heap*>{victim},
+                               core::ParallelGcOptions{team, 128});
+    pc.prepare(roots);
+    gate.offer_team(
+        [](void* arg, unsigned slot) {
+          static_cast<core::ParallelCollector*>(arg)->run_worker(slot);
+        },
+        &pc, 1, team);
+    pc.run_worker(0);
+    core::ParallelGcOutcome out;
+    try {
+      out = pc.finish();  // waits for every recruit; rethrows a team abort
+    } catch (...) {
+      gate.retract_team();
+      throw;
+    }
     gate.retract_team();
-    throw;
-  }
-  gate.retract_team();
-  const std::uint64_t pause_ns = trace::now_ns() - trace_t0;
-  const std::size_t live = out.totals.bytes_copied;
-  // The driver's whole span (prepare, its own slot, finish: detaching
-  // and releasing from-space can outweigh the copying) plus each
-  // recruit's slot.
-  const std::uint64_t cpu = thread_cpu_ns() - cpu0 + out.totals.cpu_ns -
-                            out.per_worker[0].cpu_ns;
-  stats->gc_count.fetch_add(1, std::memory_order_relaxed);
-  stats->gc_bytes_copied.fetch_add(live, std::memory_order_relaxed);
-  stats->gc_ns.fetch_add(cpu, std::memory_order_relaxed);
-  trace::record_gc_pause(kind, trace_t0, pause_ns, live);
+    live = out.totals.bytes_copied;
+    // The pause's own clock covers the driver's whole span (merge,
+    // prepare, its slot, finish: detaching and releasing from-space can
+    // outweigh the copying); add each recruit's slot.
+    team_cpu_ns = out.totals.cpu_ns - out.per_worker[0].cpu_ns;
+  }  // the collector's teardown is part of the pause too
+  pause.finish(stats, live, /*kept=*/false, team_cpu_ns);
   return live;
 }
 

@@ -694,7 +694,7 @@ class HierRuntime {
       }
     };
     const std::size_t live = collect_stopped(
-        gate_, chunks_, h, std::max(1u, opts_.gc_parallel_team),
+        gate_, chunks_, {h}, std::max(1u, opts_.gc_parallel_team),
         &stats_.local(), [&](auto&& fn) {
           detail::internal_gc_emit_roots(h, heaps, frame_roots, fn);
         });

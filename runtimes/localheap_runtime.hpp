@@ -635,7 +635,7 @@ class LhRuntime {
       detail::internal_gc_emit_roots(&global_, locals, frame_roots, fn);
     };
     const std::size_t live =
-        collect_stopped(gate_, chunks_, &global_, pool_.workers(),
+        collect_stopped(gate_, chunks_, {&global_}, pool_.workers(),
                         &stats_.local(), each_root);
     global_.reset_remote_bytes();
     stats_.local().global_gc_count.fetch_add(1, std::memory_order_relaxed);

@@ -1,34 +1,34 @@
 // Spoonhower-style parallel baseline ("mlton-spoonhower" in
-// fig10-fig13): every task bump-allocates into its own buffer of one
-// logically shared flat heap, there is no promotion and no read/write
-// barrier, and collection is STOP-THE-WORLD:
+// fig10-fig13): one flat shared heap allocated from one buffer per pool
+// worker, no promotion and no read/write barrier. A task runs to
+// completion on the thread that started it, so it allocates from that
+// worker's buffer and each buffer has one writer at a time. Collection
+// is STOP-THE-WORLD:
 //
 //   the task that trips the shared budget stops the world through the
 //   shared SafepointGate (core/sched.hpp) -- every other RUNNING task
 //   parks at a safepoint (its alloc slow path; tasks blocked in a
-//   fork2 join are deactivated and need not park) -- merges all
-//   allocation buffers into one heap, and evacuates it with
-//   collect_stopped (core/gc_parallel.hpp): the parked mutators are
-//   recruited as the evacuation team, so the pause puts every stopped
-//   MUTATOR to work instead of idling it. Pool workers with no task to
-//   run stay asleep in the scheduler and are not recruited, so a
-//   serial program phase (or workers = 1) collects with the sequential
-//   collector from core/gc_leaf.hpp.
+//   fork2 join are deactivated and need not park) -- and
+//   collect_stopped (core/gc_parallel.hpp) merges every buffer into
+//   the driver's and evacuates it, with the parked mutators recruited
+//   as its team (alone when none is parked; sequentially at workers=1).
 //
-// The fast paths are as cheap as the sequential runtime's (that is the
-// point of this baseline), and the fork path is lock-free too:
-// entering/leaving the running set is the gate's one atomic add on a
-// per-worker count plus one flag check, and context registration is a
-// per-worker intrusive list under a per-worker spinlock (CtxRegistry).
+// The fast paths are as cheap as the sequential runtime's (the point of
+// this baseline), and fork2 is lock-free too: entering/leaving the
+// running set is one atomic add on a per-worker gate count plus one flag
+// check, and registering a context for the root walk is a per-worker
+// intrusive list under a per-worker spinlock (CtxRegistry).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <initializer_list>
-#include <optional>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/failpoint.hpp"
 #include "core/gc_parallel.hpp"
@@ -70,7 +70,7 @@ class StwRuntime {
 
     Object* alloc(std::uint32_t nptr, std::uint32_t nscalar) {
       std::size_t size = Object::size_bytes(nptr, nscalar);
-      char* p = heap_.try_bump(size);
+      char* p = heap_->try_bump(size);
       if (__builtin_expect(p == nullptr, 0)) {
         return alloc_slow(nptr, nscalar);
       }
@@ -115,16 +115,18 @@ class StwRuntime {
 
     // SpawnedBranch hooks: a branch joins the running set for exactly
     // the span of its execution (entry blocks while a collection is
-    // pending; exit wakes a collector waiting on the running count).
-    void branch_enter() { rt_->activate(); }
+    // pending) and allocates from the executing worker's buffer.
+    void branch_enter() {
+      rt_->activate();
+      heap_ = rt_->buffers_[rt_->pool_.current_index()].get();
+    }
     void branch_exit() { rt_->deactivate(); }
 
    private:
     friend class StwRuntime;
     friend class CtxRegistry<Ctx>;
 
-    explicit Ctx(StwRuntime* rt)
-        : rt_(rt), heap_(nullptr, 0, &rt->chunks_) {
+    explicit Ctx(StwRuntime* rt) : rt_(rt) {
       rt_->ctxs_.add(this, rt_->pool_.current_index());
     }
     ~Ctx() { rt_->ctxs_.remove(this); }
@@ -136,7 +138,7 @@ class StwRuntime {
       rt_->collect(this, /*force=*/false);
       Object* o;
       try {
-        o = heap_.bump_alloc(nptr, nscalar);
+        o = heap_->bump_alloc(nptr, nscalar);
       } catch (const OutOfMemory&) {
         // Budget hit (or injected chunk fault): force a full
         // stop-the-world collection -- the biggest hammer this flat
@@ -145,14 +147,14 @@ class StwRuntime {
         // looping back here.
         rt_->collect(this, /*force=*/true);
         rt_->stats_.local().emergency_gcs.fetch_add(1, std::memory_order_relaxed);
-        o = heap_.bump_alloc(nptr, nscalar);
+        o = heap_->bump_alloc(nptr, nscalar);
       }
       o->zero_fields();
       return o;
     }
 
     StwRuntime* rt_;
-    Heap heap_;  // this task's allocation buffer of the shared heap
+    Heap* heap_ = nullptr;  // the executing worker's buffer (branch_enter)
     RootFrame* frames_ = nullptr;
     CtxRegistry<Ctx>::Link reg_;
   };
@@ -160,6 +162,10 @@ class StwRuntime {
   StwRuntime() : StwRuntime(Options{}) {}
   explicit StwRuntime(const Options& opts)
       : opts_(opts), gc_budget_(opts.gc_min_budget), pool_(opts.workers) {
+    for (unsigned i = 0; i < pool_.workers(); ++i) {
+      buffers_.push_back(std::make_unique<Heap>(nullptr, 0, &chunks_));
+      heaps_.push_back(buffers_.back().get());
+    }
     env::install_failpoints_env();
     trace::init_from_env();
     profiler::init_from_env();
@@ -191,7 +197,17 @@ class StwRuntime {
   auto run(F&& f) {
     WorkStealPool::Scope scope(&pool_);
     Ctx ctx(this);
-    ActiveScope act(this);
+    ctx.branch_enter();
+    // The root leaves like a branch; then every buffer is dropped.
+    struct RootExit {
+      Ctx& ctx;
+      ~RootExit() {
+        ctx.branch_exit();
+        for (auto& b : ctx.rt_->buffers_) {
+          b->release_all_chunks();
+        }
+      }
+    } root_exit{ctx};
     return f(ctx);
   }
 
@@ -205,7 +221,6 @@ class StwRuntime {
     StwRuntime* rt = ctx.rt_;
     rt->stats_.local().forks.fetch_add(1, std::memory_order_relaxed);
 
-    Ctx ctx_a(rt);
     Ctx ctx_b(rt);
 
     // Both result channels push a Local onto the PARENT's frame chain
@@ -218,28 +233,23 @@ class StwRuntime {
     rtapi::SpawnedBranch<Ctx, std::remove_reference_t<G>> task_b(
         &rt->pool_, g, ctx_b, ctx);
 
-    // The parent now leaves the running set: a pending collection must
-    // never wait on a task that is blocked in fork2 rather than parked
-    // at a safepoint. Its frames stay registered (and scanned) through
-    // its Ctx for the whole join.
-    rt->deactivate();
-
+    // The left branch runs as the parent itself: same thread, same
+    // buffer, its frames pushed onto the parent's chain.
     std::exception_ptr err_a;
-    ctx_a.branch_enter();
     try {
-      ch_a.store(ctx_a, rtapi::invoke_branch(f, ctx_a));
+      ch_a.store(ctx, rtapi::invoke_branch(f, ctx));
     } catch (...) {
       err_a = std::current_exception();
     }
-    ctx_a.branch_exit();
-    task_b.join(err_a != nullptr);
 
-    // Reactivating blocks while a collection is pending, so once we are
-    // back the merges below cannot race it: a new collection cannot
-    // reach the copying phase until this task parks or deactivates.
+    // The parent now leaves the running set: a pending collection must
+    // never wait on a task that is blocked in fork2 rather than parked
+    // at a safepoint. Its frames stay registered (and scanned) through
+    // its Ctx for the whole join. Reactivating blocks while a
+    // collection is pending.
+    rt->deactivate();
+    task_b.join(err_a != nullptr);
     rt->activate();
-    ctx.heap_.merge_from(ctx_a.heap_);
-    ctx.heap_.merge_from(ctx_b.heap_);
 
     if (err_a) {
       std::rethrow_exception(err_a);
@@ -251,14 +261,6 @@ class StwRuntime {
   }
 
  private:
-  struct ActiveScope {
-    StwRuntime* rt;
-    explicit ActiveScope(StwRuntime* r) : rt(r) { rt->activate(); }
-    ~ActiveScope() { rt->deactivate(); }
-    ActiveScope(const ActiveScope&) = delete;
-    ActiveScope& operator=(const ActiveScope&) = delete;
-  };
-
   void activate() { gate_.activate(pool_.current_index()); }
   void deactivate() { gate_.deactivate(pool_.current_index()); }
 
@@ -278,19 +280,13 @@ class StwRuntime {
     if (!stop || (!force && !over_budget())) {
       return;  // parked through another collection, or it left room
     }
-    // The stw-GC phase records the pause below as gc_stw, whatever
-    // collector runs it.
+    // The stw-GC phase records the pause as gc_stw, whatever collector
+    // runs it. Every buffer folds into ours, which is evacuated.
     phase::PhaseScope gc_scope(phase::Phase::kStwGc);
-    // The world is stopped. Fold every task's allocation buffer into
-    // ours so the flat heap really is one heap, then evacuate it with
-    // the union of all root frames.
-    ctxs_.for_each([me](Ctx* c) {
-      if (c != me) {
-        me->heap_.merge_from(c->heap_);
-      }
-    });
+    std::swap(heaps_.front(),
+              *std::find(heaps_.begin(), heaps_.end(), me->heap_));
     const std::size_t live = collect_stopped(
-        gate_, chunks_, &me->heap_, pool_.workers(), &stats_.local(),
+        gate_, chunks_, heaps_, pool_.workers(), &stats_.local(),
         [this](auto&& fn) {
           ctxs_.for_each([&fn](Ctx* c) {
             for (RootFrame* f = c->frames_; f != nullptr; f = f->prev()) {
@@ -305,6 +301,8 @@ class StwRuntime {
 
   Options opts_;
   ChunkPool chunks_;
+  std::vector<std::unique_ptr<Heap>> buffers_;  // one per pool worker
+  std::vector<Heap*> heaps_;  // every buffer; a stop moves its own first
   ShardedStats stats_{WorkStealPool::resolved_workers(opts_.workers)};
   std::atomic<std::size_t> gc_budget_;
   SafepointGate gate_{WorkStealPool::resolved_workers(opts_.workers)};

@@ -191,6 +191,13 @@ PARMEM_TEST(gc_keep_copy_volume_near_live) {
 // (up to its trigger plus the chunk that crossed it) and a to-space
 // chunk sized by the doubling schedule, and a freshly merged pair of
 // leaves waits for its parent's collection.
+//
+// A run's peak depends on how many workers hold leaves at once: when the
+// second worker starts late, the 64-leaf tree finishes with one worker
+// at about half the two-worker peak. So each size's peak is the largest
+// of kPeakRuns runs, which sees both workers busy unless every run
+// starts one late. A sum-of-children rule grows the peak with the leaf
+// count in every run, so it fails the ratio whatever the schedule.
 constexpr std::size_t kKeepCells = 96;    // kept through the collection
 constexpr std::size_t kChurnCells = 192;  // garbage before and after it
 
@@ -210,13 +217,19 @@ void dropping_tree(Ctx& c, int depth) {
   Ctx::init_i64(c.alloc(0, 1), 0, depth);
 }
 
+constexpr int kPeakRuns = 5;
+
 std::size_t dropping_tree_peak(const HierRuntime::Options& opts, int depth) {
-  HierRuntime rt(opts);
-  rt.run([depth](Ctx& c) {
-    dropping_tree(c, depth);
-    return 0;
-  });
-  return rt.peak_bytes();
+  std::size_t peak = 0;
+  for (int run = 0; run < kPeakRuns; ++run) {
+    HierRuntime rt(opts);
+    rt.run([depth](Ctx& c) {
+      dropping_tree(c, depth);
+      return 0;
+    });
+    peak = std::max(peak, rt.peak_bytes());
+  }
+  return peak;
 }
 
 PARMEM_TEST(gc_budget_space_bound_flat_in_leaf_count) {

@@ -5,6 +5,7 @@
 // stats JSON export's structure.
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -183,6 +184,45 @@ PARMEM_TEST(observe_pause_histogram_totals_match_gc_counters) {
              gcs);
     CHECK_EQ(tr.by_kind[static_cast<unsigned>(trace::Ev::kGcLeaf)].count(),
              0u);
+  }
+
+  // The gc_stw spans cover the whole stop, the merge of the worker
+  // buffers included: on a warm runtime (every worker's trace slot
+  // exists) their total is within 10 % of the stopped wall time
+  // StopGuard bills as gc_pause_ns, which adds only the budget checks
+  // around them. Parallel stops (two workers) of a forking kernel with
+  // a 64 KiB trigger: about 45 stops of about 30 us. A preemption
+  // between the two clocks can sink one run, so any of three may pass.
+  {
+    Sizes zs;
+    zs.strassen_n = 64;
+    zs.strassen_cutoff = 16;
+    StwRuntime::Options o;
+    o.workers = 2;
+    o.gc_min_budget = std::size_t{64} << 10;
+    o.gc_growth_factor = 0;
+    StwRuntime rt(o);
+    (void)bench_strassen(rt, zs);
+    double best = 0;
+    for (int run = 0; run < 3 && best < 0.9; ++run) {
+      trace::reset();
+      const Stats before = rt.stats();
+      (void)bench_strassen(rt, zs);
+      const Stats s = rt.stats() - before;
+      const std::uint64_t spans =
+          trace::snapshot().by_kind[static_cast<unsigned>(trace::Ev::kGcStw)]
+              .sum_ns();
+      std::fprintf(stderr, "stw: %llu collections, gc_stw spans %llu ns, "
+                   "gc_pause_ns %llu\n",
+                   static_cast<unsigned long long>(s.gc_count),
+                   static_cast<unsigned long long>(spans),
+                   static_cast<unsigned long long>(s.gc_pause_ns));
+      CHECK(s.gc_count > 0);
+      CHECK(spans <= s.gc_pause_ns);
+      best = std::max(best, static_cast<double>(spans) /
+                                static_cast<double>(s.gc_pause_ns));
+    }
+    CHECK(best >= 0.9);
   }
 
   {  // localheap: sequential leaf collections + promotions.

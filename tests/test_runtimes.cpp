@@ -4,6 +4,7 @@
 // Plus regression tests for the behaviours that distinguish the
 // runtimes (promotion volume, STW cycles, small starter chunks).
 #include <cstdint>
+#include <cstdio>
 
 #include "bench_common/workloads.hpp"
 #include "core/hier_runtime.hpp"
@@ -126,6 +127,33 @@ PARMEM_TEST(stw_collects_under_parallel_load) {
     CHECK_EQ(bench_msort_pure(rt, z).checksum, ref);
   }
   CHECK(rt.stats().gc_count > 0);
+}
+
+// StwRuntime allocates from one buffer per pool worker, not one heap
+// per task: a 4,096-leaf fork tree whose leaves each allocate one
+// 2-word object fits in each worker's doubling chunks (a heap per task
+// opens a 4 KiB starter chunk per leaf, 16 MiB in all), and run() drops
+// every buffer when it returns.
+PARMEM_TEST(stw_fork_tree_allocates_from_worker_buffers) {
+  using Ctx = StwRuntime::Ctx;
+  auto tree = [](auto&& self, Ctx& c, int depth) -> std::int64_t {
+    if (depth == 0) {
+      Object* o = c.alloc(0, 2);
+      Ctx::init_i64(o, 0, 1);
+      return Ctx::read_i64_imm(o, 0);
+    }
+    auto [a, b] = StwRuntime::fork2(
+        c, {}, [&](Ctx& cc) { return self(self, cc, depth - 1); },
+        [&](Ctx& cc) { return self(self, cc, depth - 1); });
+    return a + b;
+  };
+  for (unsigned w : {1u, 2u}) {
+    StwRuntime rt(StwRuntime::Options{.workers = w});
+    CHECK_EQ(rt.run([&](Ctx& c) { return tree(tree, c, 12); }), 4096);
+    std::fprintf(stderr, "workers %u: peak %zu bytes\n", w, rt.peak_bytes());
+    CHECK(rt.peak_bytes() < w * (std::size_t{512} << 10));
+    CHECK_EQ(rt.live_bytes(), 0u);
+  }
 }
 
 // Satellite regression: leaf heaps start on a small chunk (doubling up
