@@ -5,9 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "core/deque.hpp"
 #include "core/hier_runtime.hpp"
@@ -149,14 +147,11 @@ BENCHMARK(BM_PromoteSmallObject);
 // fork2_throughput is the tentpole metric of the lock-free scheduler:
 // forks/second through full binary fork trees with a second worker
 // present. That second worker is the point: an idle thief must cost
-// the fork-executing owner NOTHING. Under the old mutex deques the
-// idle worker's poll loop took the owner's deque lock on every sweep
-// and roughly halved throughput on a small box; with Chase-Lev the
-// owner's push+pop never blocks and the parked thief never touches
-// the owner's line. steal_latency measures the push ->
-// executed-on-another-worker round trip. The two deque rows isolate
-// the raw deque cycle, with the old mutex+vector deque kept as an
-// in-tree replica so the before/after never goes stale.
+// the fork-executing owner nothing -- with Chase-Lev the owner's
+// push+pop never blocks and the parked thief never touches the
+// owner's line. steal_latency measures the push ->
+// executed-on-another-worker round trip, and the deque row the raw
+// deque cycle.
 
 std::int64_t fork_tree_count(Ctx& ctx, int depth) {
   if (depth == 0) {
@@ -215,34 +210,6 @@ void BM_DequePushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DequePushPop);
-
-// Replica of the pre-Chase-Lev mutex deque, kept so every recording
-// carries its own before/after of the uncontended fork cycle.
-struct MutexDeque {
-  std::mutex mu;
-  std::vector<PingTask*> tasks;
-};
-
-void BM_MutexDequePushPop(benchmark::State& state) {
-  MutexDeque dq;
-  PingTask t;
-  for (auto _ : state) {
-    {
-      std::lock_guard<std::mutex> g(dq.mu);
-      dq.tasks.push_back(&t);
-    }
-    PingTask* p = nullptr;
-    {
-      std::lock_guard<std::mutex> g(dq.mu);
-      if (!dq.tasks.empty() && dq.tasks.back() == &t) {
-        dq.tasks.pop_back();
-        p = &t;
-      }
-    }
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(BM_MutexDequePushPop);
 
 // --- fine-grained promotion mode (Section 5 future work) -------------------
 // The per-op costs of the claim-based mode, for comparison with the

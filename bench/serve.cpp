@@ -22,6 +22,7 @@
 
 #include "bench_common/harness.hpp"
 #include "bench_common/serve_harness.hpp"
+#include "core/config.hpp"
 #include "core/hier_runtime.hpp"
 #include "runtimes/localheap_runtime.hpp"
 #include "runtimes/seq_runtime.hpp"
@@ -62,15 +63,12 @@ LhRuntime make_runtime<LhRuntime>(unsigned procs) {
   // Production-shaped knob: collect the global promotion sink once per
   // MB promoted. Without it the sink grows for the whole burst and the
   // steady-state RSS row measures the leak, not the runtime (the
-  // localheap row used to sit near 45x its live set here). Resolved
-  // from PARMEM_GC_GLOBAL_THRESHOLD when set (the runtime itself only
-  // consults the env while the option is 0), so run_bench.sh's
+  // localheap row used to sit near 45x its live set here).
+  // PARMEM_GC_GLOBAL_THRESHOLD overrides it when set (the runtime
+  // itself only consults it while the option is 0), so run_bench.sh's
   // global_gc section can sweep it -- "0" restores the pure sink.
-  const char* thr_env = std::getenv("PARMEM_GC_GLOBAL_THRESHOLD");
   o.gc_global_threshold =
-      thr_env != nullptr && thr_env[0] != '\0'
-          ? static_cast<std::size_t>(std::strtoull(thr_env, nullptr, 10))
-          : std::size_t{1} << 20;
+      config::env().gc_global_threshold.value_or(std::size_t{1} << 20);
   return LhRuntime(o);
 }
 

@@ -1,7 +1,5 @@
-// Bounded-memory support: the typed allocation-failure exception, the
-// deterministic allocation-fault-injection registry, and validated
-// parsing of the PARMEM_HEAP_BUDGET / PARMEM_FAILPOINTS environment
-// variables.
+// Bounded-memory support: the typed allocation-failure exception and
+// the deterministic allocation-fault-injection registry.
 //
 // Failpoints are named allocation sites (chunk_alloc, packet_alloc,
 // promote_copy) that can be armed with a trigger spec:
@@ -12,9 +10,9 @@
 //
 // Specs are installed from RT::Options::failpoints (malformed ->
 // std::invalid_argument) or the PARMEM_FAILPOINTS environment variable
-// (malformed -> one-line stderr diagnosis + exit, never a silent
-// fallback). The registry is process-wide; when nothing is armed the
-// per-site check is one relaxed atomic load on a shared flag.
+// (validated by core/config.hpp). The registry is process-wide; when
+// nothing is armed the per-site check is one relaxed atomic load on a
+// shared flag.
 //
 // Collector-context exemption: allocations made INSIDE a collection
 // (to-space copies, evacuation-team buffers) run under a GcAllocScope
@@ -359,92 +357,4 @@ struct ScopedFailpoints {
 };
 
 }  // namespace failpoint
-
-namespace env {
-
-// Parse a byte-size spec: a non-negative integer with an optional
-// K/M/G suffix (binary multiples), e.g. "768M". Returns false on
-// malformed input; *out is untouched then.
-inline bool parse_size_spec(const char* s, std::size_t* out) {
-  if (s == nullptr || *s == '\0') {
-    return false;
-  }
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) {
-    return false;
-  }
-  std::size_t mult = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k':
-      case 'K':
-        mult = std::size_t{1} << 10;
-        break;
-      case 'm':
-      case 'M':
-        mult = std::size_t{1} << 20;
-        break;
-      case 'g':
-      case 'G':
-        mult = std::size_t{1} << 30;
-        break;
-      default:
-        return false;
-    }
-    if (end[1] != '\0') {
-      return false;
-    }
-  }
-  *out = static_cast<std::size_t>(v) * mult;
-  return true;
-}
-
-// PARMEM_HEAP_BUDGET, validated once per process: 0/unset = unlimited;
-// malformed = one-line diagnosis + exit (never a silent fallback).
-inline std::size_t heap_budget_env() {
-  static const std::size_t budget = [] {
-    const char* v = std::getenv("PARMEM_HEAP_BUDGET");
-    if (v == nullptr || *v == '\0') {
-      return std::size_t{0};
-    }
-    std::size_t b = 0;
-    if (!parse_size_spec(v, &b)) {
-      std::fprintf(stderr,
-                   "parmem: malformed PARMEM_HEAP_BUDGET='%s' (want bytes "
-                   "with optional K/M/G suffix, e.g. 768M)\n",
-                   v);
-      std::exit(2);
-    }
-    return b;
-  }();
-  return budget;
-}
-
-// PARMEM_FAILPOINTS, installed once per process at first runtime
-// construction: malformed = one-line diagnosis + exit.
-inline void install_failpoints_env() {
-  static const bool done = [] {
-    const char* v = std::getenv("PARMEM_FAILPOINTS");
-    if (v != nullptr && *v != '\0') {
-      std::string err;
-      if (!failpoint::parse_spec(v, &failpoint::Registry::instance(), &err)) {
-        std::fprintf(stderr, "parmem: malformed PARMEM_FAILPOINTS='%s': %s\n",
-                     v, err.c_str());
-        std::exit(2);
-      }
-    }
-    return true;
-  }();
-  (void)done;
-}
-
-}  // namespace env
-
-// A runtime's effective budget: its explicit option wins; otherwise
-// the validated process-wide PARMEM_HEAP_BUDGET (0 = unlimited).
-inline std::size_t effective_heap_budget(std::size_t option_bytes) {
-  return option_bytes != 0 ? option_bytes : env::heap_budget_env();
-}
-
 }  // namespace parmem

@@ -678,16 +678,21 @@ class Heap {
                             : 0);
   }
 
-  // Inline fast path: bump or bail. Returns null on overflow so the
-  // caller can run its GC policy before acquiring a chunk. The caller
-  // initialises the header.
-  char* try_bump(std::size_t size) {
+  // The inline allocation fast path of every runtime's Ctx::alloc:
+  // bump, write the header and zero the fields -- or return null on
+  // overflow, so the caller can run its GC policy before acquiring a
+  // chunk. Same mutual exclusion rules as bump_alloc.
+  Object* try_alloc(std::uint32_t nptr, std::uint32_t nscalar) {
+    const std::size_t size = Object::size_bytes(nptr, nscalar);
     char* p = top_;
     if (__builtin_expect(static_cast<std::size_t>(end_ - p) < size, 0)) {
       return nullptr;
     }
     top_ = p + size;
-    return p;
+    Object* o = reinterpret_cast<Object*>(p);
+    o->init_header(nptr, nscalar);
+    o->zero_fields();
+    return o;
   }
 
   // Raw bump allocation. The caller provides mutual exclusion: the
@@ -885,7 +890,7 @@ class Heap {
   ChunkPool* pool_;
 
   // Owner-hot bump group, isolated on its own cache line: everything
-  // the inline alloc fast path (try_bump/bump_alloc) and the chunk
+  // the inline alloc fast path (try_alloc/bump_alloc) and the chunk
   // bookkeeping behind it touch. Must not share a line with the
   // remote-writer group below -- a promoting worker bumping
   // remote_bytes_ would otherwise invalidate the owner's bump pointer

@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <initializer_list>
 #include <mutex>
@@ -32,74 +31,71 @@
 #include <variant>
 #include <vector>
 
-#include "core/failpoint.hpp"
 #include "core/gc_internal.hpp"
 #include "core/gc_leaf.hpp"
 #include "core/gc_parallel.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
-#include "core/profiler.hpp"
 #include "core/promote.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
 #include "core/stats.hpp"
-#include "core/stats_json.hpp"
-#include "core/trace.hpp"
 #include "runtimes/runtime_api.hpp"
 
 namespace parmem {
 
-class HierRuntime {
+struct HierOptions {
+  unsigned workers = 0;  // 0 = one per hardware thread
+  PromotionMode promotion = PromotionMode::kCoarseLocking;
+  std::size_t gc_min_budget = std::size_t{4} << 20;  // leaf bytes before GC
+  std::size_t gc_join_threshold = 0;  // 0 = no collection at joins
+  // A heap collects once its chunks reach max(gc_min_budget, factor
+  // x its live estimate): the bytes its last collection evacuated,
+  // plus the larger child's estimate at each join since
+  // (Heap::join_children), so a join does not reset the budget.
+  double gc_growth_factor = 8.0;
+  // Largest evacuation team for stopped-world collections (join,
+  // internal and emergency; core/gc_parallel.hpp collect_stopped): up
+  // to gc_parallel_team - 1 mutators parked by the stop are recruited
+  // to copy alongside the driver. 0 or 1 keeps them sequential, and
+  // so does a stop that finds nobody parked.
+  unsigned gc_parallel_team = 0;
+  // Hierarchy-aware internal-heap collection (core/gc_internal.hpp):
+  // when a promotion pushes a heap's promoted-into bytes past this
+  // threshold, the next task to reach a safepoint (allocation slow
+  // path or fork2 boundary) pauses the running set and collects every
+  // such heap in place -- so promotion chains into a BUSY internal
+  // heap no longer accumulate until its owner rejoins.
+  // 0 = PARMEM_INTERNAL_GC_THRESHOLD, else disabled.
+  std::size_t gc_internal_threshold = 0;
+  // GC-stress differential-testing mode: force a leaf collection and
+  // a join collection at every safepoint and ring the internal-
+  // collection doorbell with a 1-byte threshold, so every collector
+  // runs constantly. Checksums must be unchanged under it.
+  // PARMEM_GC_STRESS turns it on too.
+  bool gc_stress = false;
+  // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
+  // A nonzero budget enables the safepoint machinery (like
+  // gc_internal_threshold does), because the emergency cascade's
+  // last rung is a stopped-world collection of every live heap:
+  // leaf, then all heaps deepest-first, then one allocation retry
+  // before parmem::OutOfMemory reaches the program.
+  std::size_t heap_budget_bytes = 0;
+  // Deterministic allocation-fault injection, e.g.
+  // "chunk_alloc=fail@3;promote_copy=every(100)". Installed into the
+  // process-wide registry (core/failpoint.hpp); "" = none.
+  std::string failpoints;
+  // Append one JSON line of counters + pause-histogram summaries to
+  // this file when the runtime is destroyed (core/stats_json.hpp).
+  // "" = use PARMEM_STATS_JSON, or no export if that is unset too.
+  std::string stats_json_path;
+};
+
+class HierRuntime : public rtapi::RuntimeShell<HierOptions> {
  public:
   static constexpr const char* kName = "hier";
-
-  struct Options {
-    unsigned workers = 0;  // 0 = one per hardware thread
-    PromotionMode promotion = PromotionMode::kCoarseLocking;
-    std::size_t gc_min_budget = std::size_t{4} << 20;  // leaf bytes before GC
-    std::size_t gc_join_threshold = 0;  // 0 = no collection at joins
-    // A heap collects once its chunks reach max(gc_min_budget, factor
-    // x its live estimate): the bytes its last collection evacuated,
-    // plus the larger child's estimate at each join since
-    // (Heap::join_children), so a join does not reset the budget.
-    double gc_growth_factor = 8.0;
-    // Largest evacuation team for stopped-world collections (join,
-    // internal and emergency; core/gc_parallel.hpp collect_stopped): up
-    // to gc_parallel_team - 1 mutators parked by the stop are recruited
-    // to copy alongside the driver. 0 or 1 keeps them sequential, and
-    // so does a stop that finds nobody parked.
-    unsigned gc_parallel_team = 0;
-    // Hierarchy-aware internal-heap collection (core/gc_internal.hpp):
-    // when a promotion pushes a heap's promoted-into bytes past this
-    // threshold, the next task to reach a safepoint (allocation slow
-    // path or fork2 boundary) pauses the running set and collects every
-    // such heap in place -- so promotion chains into a BUSY internal
-    // heap no longer accumulate until its owner rejoins. 0 disables.
-    std::size_t gc_internal_threshold = 0;
-    // GC-stress differential-testing mode: force a leaf collection and
-    // a join collection at every safepoint and ring the internal-
-    // collection doorbell with a 1-byte threshold, so every collector
-    // runs constantly. Checksums must be unchanged under it. Also
-    // forced on for every HierRuntime when the PARMEM_GC_STRESS
-    // environment variable is set (and not "0").
-    bool gc_stress = false;
-    // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
-    // A nonzero budget enables the safepoint machinery (like
-    // gc_internal_threshold does), because the emergency cascade's
-    // last rung is a stopped-world collection of every live heap:
-    // leaf, then all heaps deepest-first, then one allocation retry
-    // before parmem::OutOfMemory reaches the program.
-    std::size_t heap_budget_bytes = 0;
-    // Deterministic allocation-fault injection, e.g.
-    // "chunk_alloc=fail@3;promote_copy=every(100)". Installed into the
-    // process-wide registry (core/failpoint.hpp); "" = none.
-    std::string failpoints;
-    // Append one JSON line of counters + pause-histogram summaries to
-    // this file when the runtime is destroyed (core/stats_json.hpp).
-    // "" = use PARMEM_STATS_JSON, or no export if that is unset too.
-    std::string stats_json_path;
-  };
+  using Options = HierOptions;
 
   class Ctx {
    public:
@@ -111,14 +107,10 @@ class HierRuntime {
     // on chunk overflow, so unrooted raw Object* must not be held
     // across calls.
     Object* alloc(std::uint32_t nptr, std::uint32_t nscalar) {
-      std::size_t size = Object::size_bytes(nptr, nscalar);
-      char* p = heap_->try_bump(size);
-      if (__builtin_expect(p == nullptr, 0)) {
+      Object* o = heap_->try_alloc(nptr, nscalar);
+      if (__builtin_expect(o == nullptr, 0)) {
         return alloc_slow(nptr, nscalar);
       }
-      Object* o = reinterpret_cast<Object*>(p);
-      o->init_header(nptr, nscalar);
-      o->zero_fields();
       return o;
     }
 
@@ -211,16 +203,7 @@ class HierRuntime {
     // contract as alloc): pauses the running set and collects every
     // heap holding promoted-into bytes, however busy its owner. A
     // no-op unless internal collection or GC-stress is enabled.
-    void collect_internal_now() {
-      if (!rt_->sp_enabled_) {
-        return;
-      }
-      if (rt_->gate_.pending()) {
-        rt_->gate_.park();
-        return;
-      }
-      rt_->drive_internal_gc(/*forced=*/true);
-    }
+    void collect_internal_now() { rt_->safepoint(/*forced=*/true); }
 
     HierRuntime& runtime() { return *rt_; }
     Heap* leaf_heap() { return heap_; }
@@ -231,12 +214,12 @@ class HierRuntime {
     // (entry blocks while a stop is pending; exit wakes a driver
     // waiting on the running count). Otherwise no per-thread setup.
     void branch_enter() {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         rt_->gate_.activate(rt_->pool_.current_index());
       }
     }
     void branch_exit() {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         rt_->gate_.deactivate(rt_->pool_.current_index());
       }
     }
@@ -250,19 +233,19 @@ class HierRuntime {
           heap_(heap),
           parent_(parent),
           mode_(rt->opts_.promotion) {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         rt_->ctxs_.add(this, rt_->pool_.current_index());
       }
     }
 
     ~Ctx() {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         rt_->ctxs_.remove(this);
       }
     }
 
     Object* alloc_slow(std::uint32_t nptr, std::uint32_t nscalar) {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         // The allocation slow path is a safepoint: no raw Object* may
         // be held across alloc, so a pending internal collection can
         // relocate while we park (or while we drive it ourselves).
@@ -275,33 +258,14 @@ class HierRuntime {
       try {
         o = heap_->bump_alloc(nptr, nscalar);
       } catch (const OutOfMemory&) {
-        emergency_collect();
+        // The stop rung sweeps EVERY live heap, deepest first -- join
+        // heaps and promoted-into internal heaps included.
+        rt_->emergency_collect([this] { collect_now(); },
+                               [rt = rt_] { rt->drive_emergency_gc(); });
         o = heap_->bump_alloc(nptr, nscalar);  // retry exactly once
       }
       o->zero_fields();
       return o;
-    }
-
-    // The budget (or an injected chunk fault) refused an allocation:
-    // climb the collection cascade, cheapest rung first.
-    //   1. this task's own leaf (no coordination needed);
-    //   2. with the safepoint machinery on, a stopped-world sweep of
-    //      EVERY live heap, deepest first -- join heaps and promoted-
-    //      into internal heaps included.
-    // The caller then retries the allocation once; a second failure is
-    // the program's real OOM.
-    void emergency_collect() {
-      const std::uint64_t trace_t0 = trace::now_ns();
-      const std::uint64_t live_before = rt_->chunks_.live_bytes();
-      rt_->stats_.local().emergency_gcs.fetch_add(1, std::memory_order_relaxed);
-      collect_now();
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->drive_emergency_gc();
-      }
-      // One event spanning the whole cascade; its constituent
-      // collections also recorded individually above.
-      trace::record_emergency(trace_t0, trace::now_ns() - trace_t0,
-                              live_before);
     }
 
     void distant_write_ptr(Object* o, std::uint32_t idx, Object* v) {
@@ -310,11 +274,11 @@ class HierRuntime {
         Heap* hd = heap_of(d);
         if (v != nullptr && heap_of(v)->depth() > hd->depth()) {
           promote_and_store(d, idx, v, heap_, mode_, &rt_->stats_.local());
-          if (__builtin_expect(rt_->sp_enabled_, 0)) {
+          if (__builtin_expect(rt_->bell_.enabled(), 0)) {
             // Only a doorbell: the caller may legally hold raw
             // pointers across write_ptr, so the collection itself
             // waits for everyone's next allocation/fork safepoint.
-            rt_->note_internal_pressure(heap_of(Object::chase(d)));
+            rt_->bell_.ring_if(heap_of(Object::chase(d))->remote_bytes());
           }
           return;
         }
@@ -347,49 +311,22 @@ class HierRuntime {
 
   HierRuntime() : HierRuntime(Options{}) {}
   explicit HierRuntime(const Options& opts)
-      : opts_(opts),
-        pool_(opts.workers),
-        gate_(pool_.workers()),
-        ctxs_(pool_.workers()) {
-    if (!opts_.gc_stress && gc_stress_env()) {
-      opts_.gc_stress = true;
-    }
-    if (opts_.gc_internal_threshold == 0) {
-      opts_.gc_internal_threshold = internal_gc_threshold_env();
-    }
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
-    // A nonzero join threshold enables the safepoint machinery too
-    // (same escalation the budget uses): join collections must root
-    // from EVERY task's frames, because a branch may publish its
-    // result into an arbitrary ancestor Local -- the single-frame
-    // collect_now path would drop such a result during the merge.
-    sp_enabled_ = opts_.gc_stress || opts_.gc_internal_threshold != 0 ||
-                  opts_.gc_join_threshold != 0 || chunks_.budget() != 0;
-  }
-  HierRuntime(const HierRuntime&) = delete;
-  HierRuntime& operator=(const HierRuntime&) = delete;
+      : RuntimeShell(kName, opts,
+                     WorkStealPool::resolved_workers(opts.workers)),
+        gate_(workers()),
+        ctxs_(workers()),
+        // A nonzero join threshold enables the safepoint machinery too
+        // (same escalation the budget uses): join collections must root
+        // from EVERY task's frames, because a branch may publish its
+        // result into an arbitrary ancestor Local -- the single-frame
+        // collect_now path would drop such a result during the merge.
+        bell_(gate_,
+              opts_.gc_stress || opts_.gc_internal_threshold != 0 ||
+                  opts_.gc_join_threshold != 0 || chunks_.budget() != 0,
+              opts_.gc_stress, opts_.gc_internal_threshold,
+              phase::Phase::kInternalGc),
+        pool_(opts_.workers) {}
 
-  ~HierRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
-    stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
-  }
-
-  const Options& options() const { return opts_; }
-  unsigned workers() const { return pool_.workers(); }
-  Stats stats() const { return stats_.snapshot(); }
-  std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
-  std::size_t live_bytes() const { return chunks_.live_bytes(); }
   // Scheduler idle churn (timed-out parks); see WorkStealPool. The
   // serve-harness quiescence test asserts this stays near zero while
   // the runtime sits idle between request bursts.
@@ -407,21 +344,7 @@ class HierRuntime {
     // With internal collection enabled the root task is a member of
     // the running set for the whole run (leaving it only inside fork2
     // joins, like every other task).
-    struct ActiveScope {
-      HierRuntime* rt;
-      explicit ActiveScope(HierRuntime* r) : rt(r) {
-        if (rt->sp_enabled_) {
-          rt->gate_.activate(rt->pool_.current_index());
-        }
-      }
-      ~ActiveScope() {
-        if (rt->sp_enabled_) {
-          rt->gate_.deactivate(rt->pool_.current_index());
-        }
-      }
-      ActiveScope(const ActiveScope&) = delete;
-      ActiveScope& operator=(const ActiveScope&) = delete;
-    } act(this);
+    SafepointDoorbell::Member member(bell_, pool_.current_index());
     return f(ctx);
   }
 
@@ -436,11 +359,10 @@ class HierRuntime {
                     G&& g) {
     (void)roots;
     using RA = rtapi::BranchResult<F, Ctx>;
-    using RB = rtapi::BranchResult<G, Ctx>;
 
     HierRuntime* rt = ctx.rt_;
     rt->stats_.local().forks.fetch_add(1, std::memory_order_relaxed);
-    const bool sp = rt->sp_enabled_;
+    const bool sp = rt->bell_.enabled();
     if (__builtin_expect(sp, 0)) {
       rt->fork_safepoint();
     }
@@ -486,7 +408,7 @@ class HierRuntime {
       // merged into `parent` is quiesced (both branches joined), so it
       // can be evacuated here -- with parked mutators as a team when
       // gc_parallel_team asks for one. GC-stress forces it at every
-      // join. Both trigger conditions imply sp_enabled_ (see
+      // join. Both trigger conditions imply bell_.enabled() (see
       // the constructor), so the collection always stops the world and
       // roots from EVERY task's frames: results published into
       // arbitrary ancestor Locals survive the merge, which the
@@ -495,13 +417,7 @@ class HierRuntime {
       rt->stopped_join_collect(&ctx);
     }
 
-    if (err_a) {
-      std::rethrow_exception(err_a);
-    }
-    if (task_b.error()) {
-      std::rethrow_exception(task_b.error());
-    }
-    return std::pair<RA, RB>(ch_a.take(), task_b.take_result());
+    return task_b.results(err_a, ch_a);
   }
 
   // Test/debug hook: snapshot every live heap (one per task context;
@@ -513,34 +429,6 @@ class HierRuntime {
   }
 
  private:
-  static bool gc_stress_env() {
-    static const bool on = [] {
-      const char* v = std::getenv("PARMEM_GC_STRESS");
-      return v != nullptr && v[0] != '\0' &&
-             !(v[0] == '0' && v[1] == '\0');
-    }();
-    return on;
-  }
-
-  // PARMEM_INTERNAL_GC_THRESHOLD=bytes: force internal-heap collection
-  // on for runtimes whose Options leave it off -- lets the profiling /
-  // flame-diff workflow (scripts/flamediff.py) perturb the policy on an
-  // unmodified driver binary.
-  static std::size_t internal_gc_threshold_env() {
-    static const std::size_t bytes = [] {
-      const char* v = std::getenv("PARMEM_INTERNAL_GC_THRESHOLD");
-      if (v == nullptr || v[0] == '\0') {
-        return std::size_t{0};
-      }
-      return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    }();
-    return bytes;
-  }
-
-  std::size_t effective_internal_threshold() const {
-    return opts_.gc_stress ? 1 : opts_.gc_internal_threshold;
-  }
-
   // fork2's gated slow paths, kept out of line so the disabled-default
   // fork2 stays compact (the fork row is a measured baseline).
   //
@@ -565,83 +453,41 @@ class HierRuntime {
     gate_.activate(pool_.current_index());
   }
 
-  // Promotion-path doorbell (the promoter may hold raw pointers, so
-  // never collect here): remember that some heap crossed the
-  // threshold; the next safepoint anyone reaches drives the cycle.
-  void note_internal_pressure(Heap* h) {
-    std::size_t thr = effective_internal_threshold();
-    if (thr != 0 && h->remote_bytes() >= thr) {
-      internal_doorbell_.store(true, std::memory_order_relaxed);
-    }
-  }
-
   // Safepoint poll (allocation slow paths, fork2 boundaries): park
   // through someone else's pending stop, or drive a requested internal
-  // collection ourselves.
-  void safepoint() {
-    if (opts_.gc_stress) {
-      internal_doorbell_.store(true, std::memory_order_relaxed);
-    }
-    if (gate_.pending()) {
-      gate_.park();
-      return;
-    }
-    if (internal_doorbell_.load(std::memory_order_relaxed)) {
-      drive_internal_gc(/*forced=*/false);
-    }
+  // collection ourselves -- always, when `forced`. The pre-stop victim
+  // peek races running mutators, so it reads only atomics.
+  void safepoint(bool forced = false) {
+    bell_.poll(
+        forced, stats_.local(),
+        [this](std::size_t thr) {
+          bool any = false;
+          ctxs_.for_each([&](Ctx* c) {
+            any = any || c->heap_->remote_bytes() >= thr;
+          });
+          return any;
+        },
+        [this](std::size_t thr) {
+          collect_victims([thr](Heap* h) { return h->remote_bytes() >= thr; },
+                          /*bill_internal=*/true);
+        });
   }
 
-  // Pre-stop peek, racing running mutators: may only read atomics (the
-  // authoritative victim scan reruns on the stopped world).
-  bool any_internal_victims(std::size_t thr) {
-    bool any = false;
-    ctxs_.for_each([&](Ctx* c) {
-      any = any || c->heap_->remote_bytes() >= thr;
-    });
-    return any;
-  }
-
-  void drive_internal_gc(bool forced) {
-    std::size_t thr = forced ? 1 : effective_internal_threshold();
-    if (thr == 0) {
-      internal_doorbell_.store(false, std::memory_order_relaxed);
-      return;
-    }
-    if (!forced && !any_internal_victims(thr)) {
-      // Under stress still run a full (victimless) stop periodically so
-      // the pause protocol itself is exercised on pure programs.
-      bool force_stop =
-          opts_.gc_stress &&
-          stress_tick_.fetch_add(1, std::memory_order_relaxed) % 32 == 0;
-      if (!force_stop) {
-        internal_doorbell_.store(false, std::memory_order_relaxed);
-        return;
-      }
-    }
-    StopGuard stop(gate_, stats_.local());
-    if (!stop) {
-      return;  // parked through another driver's stop instead
-    }
-    // The internal-GC phase tag makes the collections run below record
-    // as gc_internal pauses (trace::pause_kind_from_phase).
-    phase::PhaseScope gc_scope(phase::Phase::kInternalGc);
-    internal_doorbell_.store(false, std::memory_order_relaxed);
-    collect_victims([thr](Heap* h) { return h->remote_bytes() >= thr; },
-                    /*bill_internal=*/true);
-  }
-
-  // Emergency rung of the budget cascade (Ctx::emergency_collect): stop
-  // the world and collect EVERY live heap, deepest first. Unlike an
-  // internal cycle there is no threshold -- the allocation already
-  // failed, so all reclaimable garbage is wanted. If another driver's
-  // stop is pending, park through it instead: its collections free
-  // memory just the same, and our caller retries afterwards.
+  // Emergency rung of the budget cascade (RuntimeShell::
+  // emergency_collect): stop the world and collect EVERY live heap,
+  // deepest first. Unlike an internal cycle there is no threshold --
+  // the allocation already failed, so all reclaimable garbage is
+  // wanted. If another driver's stop is pending, park through it
+  // instead: its collections free memory just the same, and our caller
+  // retries afterwards.
   void drive_emergency_gc() {
+    if (!bell_.enabled()) {
+      return;
+    }
     StopGuard stop(gate_, stats_.local());
     if (!stop) {
       return;
     }
-    internal_doorbell_.store(false, std::memory_order_relaxed);
     collect_victims([](Heap*) { return true; }, /*bill_internal=*/false);
   }
 
@@ -726,15 +572,10 @@ class HierRuntime {
     stopped_collect_heap(me->heap_, ctxs, heaps, /*bill_internal=*/false);
   }
 
-  Options opts_;
-  bool sp_enabled_ = false;  // internal collection or GC-stress on
-  ChunkPool chunks_;
-  ShardedStats stats_{WorkStealPool::resolved_workers(opts_.workers)};
-  WorkStealPool pool_;
   SafepointGate gate_;     // pause/resume of the running set
-  CtxRegistry<Ctx> ctxs_;  // live task contexts (sp_enabled_ only)
-  std::atomic<bool> internal_doorbell_{false};
-  std::atomic<std::uint64_t> stress_tick_{0};
+  CtxRegistry<Ctx> ctxs_;  // live task contexts (bell_.enabled() only)
+  SafepointDoorbell bell_;  // internal collection; any stopped collection
+  WorkStealPool pool_;  // last member: joins threads before the rest die
 };
 
 static_assert(RuntimeLike<HierRuntime>);

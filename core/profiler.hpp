@@ -357,36 +357,24 @@ inline bool write_collapsed(const char* path) {
   return true;
 }
 
-// PARMEM_PROFILE=out.folded [PARMEM_PROFILE_HZ=n]: start sampling now,
-// stop + write collapsed output at process exit. Idempotent; called
-// from every runtime's constructor.
-inline void init_from_env() {
-  static const bool once = [] {
-    const char* v = std::getenv("PARMEM_PROFILE");
-    if (v == nullptr || v[0] == '\0') {
-      return false;
+// Start sampling at `hz` now and write collapsed output to `path` at
+// process exit (PARMEM_PROFILE / PARMEM_PROFILE_HZ, core/config.hpp);
+// "" = no profile. Called once per process, by the first runtime
+// constructed.
+inline void profile_at_exit(const std::string& path, unsigned hz) {
+  if (path.empty()) {
+    return;
+  }
+  detail::state().out_path = path;
+  start(hz);
+  std::atexit([] {
+    stop();
+    const std::string& p = detail::state().out_path;
+    if (!write_collapsed(p.c_str())) {
+      std::fprintf(stderr, "parmem: cannot write PARMEM_PROFILE file %s\n",
+                   p.c_str());
     }
-    detail::state().out_path = v;
-    unsigned hz = 499;
-    if (const char* h = std::getenv("PARMEM_PROFILE_HZ")) {
-      const long parsed = std::strtol(h, nullptr, 10);
-      if (parsed > 0 && parsed <= 10000) {
-        hz = static_cast<unsigned>(parsed);
-      }
-    }
-    start(hz);
-    std::atexit([] {
-      stop();
-      const std::string& p = detail::state().out_path;
-      if (!write_collapsed(p.c_str())) {
-        std::fprintf(stderr,
-                     "parmem: cannot write PARMEM_PROFILE file %s\n",
-                     p.c_str());
-      }
-    });
-    return true;
-  }();
-  (void)once;
+  });
 }
 
 }  // namespace parmem::profiler

@@ -641,6 +641,118 @@ class StopGuard {
   std::uint64_t t0_;
 };
 
+// The safepoint doorbell of hier's internal collection and
+// localheap's global collection. Both are asked for by a promotion,
+// which may hold raw pointers, so the request only rings the bell
+// (ring_if); the next safepoint any running task reaches -- an
+// allocation slow path or a fork2 boundary, where no raw Object* is
+// held by contract -- polls it and drives the stop. Per poll, the
+// runtime supplies what differs: whether any heap is over the
+// threshold, and what the stop collects.
+//
+// `enabled` switches the safepoint machinery on (the runtime decides:
+// a threshold, a heap budget, GC stress); with it off no task joins
+// the running set and polls are skipped. `threshold` is in bytes, 0 =
+// off. Under `stress` every poll rings, the threshold is 1 byte, and
+// every 32nd victimless poll still stops the world, so the pause
+// protocol runs even on programs that never cross a threshold.
+class SafepointDoorbell {
+ public:
+  SafepointDoorbell(SafepointGate& gate, bool enabled, bool stress,
+                    std::size_t threshold, phase::Phase tag)
+      : gate_(gate),
+        enabled_(enabled),
+        stress_(stress),
+        threshold_(stress ? 1 : threshold),
+        tag_(tag) {}
+
+  bool enabled() const { return enabled_; }
+
+  // Called where collecting is unsafe: ring when `bytes` (the victim's
+  // promoted-into bytes) reach the threshold.
+  void ring_if(std::size_t bytes) {
+    if (threshold_ != 0 && bytes >= threshold_) {
+      rung_.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  // The safepoint poll: park through another driver's pending stop, or
+  // drive a rung collection. `forced` (a collect_*_now call, an
+  // emergency) drives a collection whether or not the bell rang, with
+  // a 1-byte threshold. `any_victims(thr)` may only read atomics: it
+  // races running mutators, and collect(thr) reruns the authoritative
+  // victim scan on the stopped world.
+  template <class AnyVictims, class Collect>
+  void poll(bool forced, StatsCell& stats, AnyVictims&& any_victims,
+            Collect&& collect) {
+    if (!enabled_) {
+      return;
+    }
+    if (stress_) {
+      rung_.store(true, std::memory_order_relaxed);
+    }
+    if (gate_.pending()) {
+      gate_.park();
+      return;
+    }
+    if (!forced && !rung_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    const std::size_t thr = forced ? 1 : threshold_;
+    if (thr == 0) {
+      rung_.store(false, std::memory_order_relaxed);
+      return;
+    }
+    if (!forced && !any_victims(thr) &&
+        !(stress_ &&
+          stress_tick_.fetch_add(1, std::memory_order_relaxed) % 32 == 0)) {
+      rung_.store(false, std::memory_order_relaxed);
+      return;
+    }
+    StopGuard stop(gate_, stats);
+    if (!stop) {
+      return;  // parked through another driver's stop instead
+    }
+    // The phase tag makes the collections below record as this
+    // runtime's pause kind (trace::pause_kind_from_phase).
+    phase::PhaseScope gc_scope(tag_);
+    rung_.store(false, std::memory_order_relaxed);
+    collect(thr);
+  }
+
+  // Running-set membership of the calling worker for a scope (a root
+  // task's whole run()); nothing with the machinery off.
+  class Member {
+   public:
+    Member(SafepointDoorbell& bell, unsigned worker)
+        : gate_(bell.enabled_ ? &bell.gate_ : nullptr), worker_(worker) {
+      if (gate_ != nullptr) {
+        gate_->activate(worker_);
+      }
+    }
+    ~Member() {
+      if (gate_ != nullptr) {
+        gate_->deactivate(worker_);
+      }
+    }
+    Member(const Member&) = delete;
+    Member& operator=(const Member&) = delete;
+
+   private:
+    SafepointGate* gate_;
+    unsigned worker_;
+  };
+
+ private:
+  SafepointGate& gate_;
+  const bool enabled_;
+  const bool stress_;
+  const std::size_t threshold_;
+  const phase::Phase tag_;
+  std::atomic<bool> rung_{false};
+  std::atomic<std::uint64_t> stress_tick_{0};
+};
+
 // Per-worker intrusive registry of a runtime's live task contexts, so a
 // driver on a stopped world can walk every task's frames and heaps.
 // Each list is mutated only from its own worker's thread, so its

@@ -1,7 +1,8 @@
 // Machine-readable per-run stats export: each runtime instance whose
 // Options::stats_json_path (or the PARMEM_STATS_JSON env var) names a
 // file appends ONE JSON object line when the runtime is destroyed --
-// counters, memory gauges, and per-kind pause-histogram summaries.
+// the configuration that produced the run, counters, memory gauges,
+// and per-kind pause-histogram summaries.
 // JSON-lines, so a process that builds several runtimes (the serve
 // driver runs all four) yields one parseable record per run;
 // scripts/perf_diff.py consumes two such files and gates on
@@ -46,24 +47,13 @@ inline void write_hist(std::FILE* f, const char* key, const Histogram& h) {
 
 }  // namespace detail
 
-// Resolve the export path for a runtime: explicit option wins, else
-// PARMEM_STATS_JSON, else empty (no export).
-inline std::string resolve_path(const std::string& option_path) {
-  if (!option_path.empty()) {
-    return option_path;
-  }
-  const char* v = std::getenv("PARMEM_STATS_JSON");
-  return (v != nullptr) ? std::string(v) : std::string();
-}
-
-// Append one JSON object line for a finished runtime. Returns false if
-// the file could not be opened (reported on stderr, never fatal -- a
-// broken export path must not take down the computation's exit).
+// Append one JSON object line for a finished runtime to `path` (not
+// empty). `config` is the JSON object of the configuration that
+// produced the run (see RuntimeShell). Returns false if the file could
+// not be opened (reported on stderr, never fatal -- a broken export
+// path must not take down the computation's exit).
 inline bool write(const std::string& path, const char* runtime,
-                  const StatsSnapshot& snap) {
-  if (path.empty()) {
-    return true;
-  }
+                  const std::string& config, const StatsSnapshot& snap) {
   const bool fresh = detail::opened().insert(path).second;
   std::FILE* f = std::fopen(path.c_str(), fresh ? "w" : "a");
   if (f == nullptr) {
@@ -74,7 +64,7 @@ inline bool write(const std::string& path, const char* runtime,
   const Stats& s = snap.stats;
   std::fprintf(
       f,
-      "{\"runtime\":\"%s\","
+      "{\"runtime\":\"%s\",\"config\":%s,"
       "\"counters\":{"
       "\"promotions\":%llu,\"promoted_objects\":%llu,"
       "\"promoted_bytes\":%llu,\"promo_claim_conflicts\":%llu,"
@@ -84,7 +74,7 @@ inline bool write(const std::string& path, const char* runtime,
       "\"internal_gc_bytes\":%llu,\"global_gc_count\":%llu,"
       "\"global_gc_bytes\":%llu,\"emergency_gcs\":%llu},"
       "\"memory\":{\"live_bytes\":%llu,\"peak_bytes\":%llu},",
-      runtime, static_cast<unsigned long long>(s.promotions),
+      runtime, config.c_str(), static_cast<unsigned long long>(s.promotions),
       static_cast<unsigned long long>(s.promoted_objects),
       static_cast<unsigned long long>(s.promoted_bytes),
       static_cast<unsigned long long>(s.promo_claim_conflicts),

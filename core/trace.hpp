@@ -387,26 +387,21 @@ inline bool write_json(const char* path) {
   return true;
 }
 
-// PARMEM_TRACE=out.json: enable ring recording now, write the Chrome
-// trace at process exit. Idempotent; called from every runtime's
-// constructor (like env::install_failpoints_env).
-inline void init_from_env() {
-  static const bool once = [] {
-    const char* v = std::getenv("PARMEM_TRACE");
-    if (v == nullptr || v[0] == '\0') {
-      return false;
+// Enable ring recording now and write the Chrome trace to `path` at
+// process exit (PARMEM_TRACE, core/config.hpp); "" = no export. Called
+// once per process, by the first runtime constructed.
+inline void export_at_exit(const std::string& path) {
+  if (path.empty()) {
+    return;
+  }
+  detail::out_path() = path;
+  enable();
+  std::atexit([] {
+    if (!write_json(detail::out_path().c_str())) {
+      std::fprintf(stderr, "parmem: cannot write PARMEM_TRACE file %s\n",
+                   detail::out_path().c_str());
     }
-    detail::out_path() = v;
-    enable();
-    std::atexit([] {
-      if (!write_json(detail::out_path().c_str())) {
-        std::fprintf(stderr, "parmem: cannot write PARMEM_TRACE file %s\n",
-                     detail::out_path().c_str());
-      }
-    });
-    return true;
-  }();
-  (void)once;
+  });
 }
 
 }  // namespace parmem::trace

@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <initializer_list>
 #include <memory>
@@ -59,46 +58,45 @@
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
-#include "core/profiler.hpp"
 #include "core/promote.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
 #include "core/stats.hpp"
-#include "core/stats_json.hpp"
 #include "core/trace.hpp"
 #include "runtimes/runtime_api.hpp"
 
 namespace parmem {
 
-class LhRuntime {
+struct LhOptions {
+  unsigned workers = 0;  // 0 = one per hardware thread
+  std::size_t gc_min_budget = std::size_t{4} << 20;  // per local heap
+  double gc_growth_factor = 8.0;
+  // Collect the global heap once at least this many bytes have been
+  // promoted into it since the last cycle. A doorbell, like
+  // HierRuntime's gc_internal_threshold: promotion only rings it, and
+  // the next safepoint anyone reaches drives the stopped-world
+  // collection. 0 = PARMEM_GC_GLOBAL_THRESHOLD, else disabled (the
+  // global heap reverts to a run()-scoped allocation sink).
+  std::size_t gc_global_threshold = 0;
+  // Force a global-collection cycle at every safepoint (PARMEM_GC_STRESS
+  // turns it on too); the differential harness runs the whole suite
+  // under it.
+  bool gc_stress = false;
+  // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
+  // Exceeding it emergency-collects the worker's local heap, then the
+  // global heap on a stopped world, and retries once before
+  // parmem::OutOfMemory reaches the program.
+  std::size_t heap_budget_bytes = 0;
+  std::string failpoints;  // e.g. "chunk_alloc=fail@3"; "" = none
+  // Append one JSON line of counters + pause-histogram summaries to
+  // this file at runtime destruction; "" = PARMEM_STATS_JSON or none.
+  std::string stats_json_path;
+};
+
+class LhRuntime : public rtapi::RuntimeShell<LhOptions> {
  public:
   static constexpr const char* kName = "localheap";
-
-  struct Options {
-    unsigned workers = 0;  // 0 = one per hardware thread
-    std::size_t gc_min_budget = std::size_t{4} << 20;  // per local heap
-    double gc_growth_factor = 8.0;
-    // Collect the global heap once at least this many bytes have been
-    // promoted into it since the last cycle. A doorbell, like
-    // HierRuntime's gc_internal_threshold: promotion only rings it,
-    // and the next safepoint anyone reaches drives the stopped-world
-    // collection. 0 = PARMEM_GC_GLOBAL_THRESHOLD, else disabled (the
-    // global heap reverts to a run()-scoped allocation sink).
-    std::size_t gc_global_threshold = 0;
-    // Force a global-collection cycle at every safepoint (also set by
-    // PARMEM_GC_STRESS); the differential harness runs the whole
-    // suite under it.
-    bool gc_stress = false;
-    // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
-    // Exceeding it emergency-collects the worker's local heap, then
-    // the global heap on a stopped world, and retries once before
-    // parmem::OutOfMemory reaches the program.
-    std::size_t heap_budget_bytes = 0;
-    std::string failpoints;  // e.g. "chunk_alloc=fail@3"; "" = none
-    // Append one JSON line of counters + pause-histogram summaries to
-    // this file at runtime destruction; "" = PARMEM_STATS_JSON or none.
-    std::string stats_json_path;
-  };
+  using Options = LhOptions;
 
  private:
   // Per-worker persistent state. All task contexts executing on a
@@ -118,14 +116,10 @@ class LhRuntime {
     Ctx& operator=(const Ctx&) = delete;
 
     Object* alloc(std::uint32_t nptr, std::uint32_t nscalar) {
-      std::size_t size = Object::size_bytes(nptr, nscalar);
-      char* p = w_->heap.try_bump(size);
-      if (__builtin_expect(p == nullptr, 0)) {
+      Object* o = w_->heap.try_alloc(nptr, nscalar);
+      if (__builtin_expect(o == nullptr, 0)) {
         return alloc_slow(nptr, nscalar);
       }
-      Object* o = reinterpret_cast<Object*>(p);
-      o->init_header(nptr, nscalar);
-      o->zero_fields();
       return o;
     }
 
@@ -199,16 +193,7 @@ class LhRuntime {
     // (the caller must hold no raw Object* -- same contract as alloc).
     // A no-op unless the safepoint machinery is enabled (a threshold,
     // a heap budget, or GC-stress).
-    void collect_global_now() {
-      if (!rt_->sp_enabled_) {
-        return;
-      }
-      if (rt_->gate_.pending()) {
-        rt_->gate_.park();
-        return;
-      }
-      rt_->drive_global_gc(/*forced=*/true);
-    }
+    void collect_global_now() { rt_->safepoint(/*forced=*/true); }
 
     LhRuntime& runtime() { return *rt_; }
     Heap* leaf_heap() { return &w_->heap; }
@@ -221,12 +206,12 @@ class LhRuntime {
     // exit wakes a driver waiting on the running count).
     void branch_enter() {
       bind();
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         rt_->gate_.activate(rt_->pool_.current_index());
       }
     }
     void branch_exit() {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         rt_->gate_.deactivate(rt_->pool_.current_index());
       }
     }
@@ -243,7 +228,7 @@ class LhRuntime {
     }
 
     Object* alloc_slow(std::uint32_t nptr, std::uint32_t nscalar) {
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+      if (__builtin_expect(rt_->bell_.enabled(), 0)) {
         // The allocation slow path is a safepoint: no raw Object* may
         // be held across alloc, so a pending global collection can
         // relocate while we park (or while we drive it ourselves).
@@ -256,34 +241,15 @@ class LhRuntime {
       try {
         o = w_->heap.bump_alloc(nptr, nscalar);
       } catch (const OutOfMemory&) {
-        emergency_collect();
+        // Other workers' locals stay untouched: they are bounded by
+        // their own budgets, and the reclaimable mass of this design
+        // sits in the promotion sink, which the stop rung collects.
+        rt_->emergency_collect([this] { collect_now(); },
+                               [rt = rt_] { rt->safepoint(/*forced=*/true); });
         o = w_->heap.bump_alloc(nptr, nscalar);  // retry exactly once
       }
       o->zero_fields();
       return o;
-    }
-
-    // The budget (or an injected chunk fault) refused an allocation:
-    // climb the cascade, cheapest rung first -- this worker's own
-    // local heap (no coordination needed), then, with the safepoint
-    // machinery on, a stopped-world collection of the global heap.
-    // (Other workers' locals stay untouched: they are bounded by their
-    // own budgets, and the reclaimable mass of this design sits in the
-    // promotion sink.) The caller retries the allocation once; a
-    // second failure is the program's real OOM.
-    void emergency_collect() {
-      const std::uint64_t trace_t0 = trace::now_ns();
-      const std::uint64_t live_before = rt_->chunks_.live_bytes();
-      rt_->stats_.local().emergency_gcs.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      collect_now();
-      if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->drive_emergency_gc();
-      }
-      // One event spanning the whole cascade; its constituent
-      // collections also recorded individually above.
-      trace::record_emergency(trace_t0, trace::now_ns() - trace_t0,
-                              live_before);
     }
 
     LhRuntime* rt_;
@@ -292,49 +258,24 @@ class LhRuntime {
 
   LhRuntime() : LhRuntime(Options{}) {}
   explicit LhRuntime(const Options& opts)
-      : opts_(opts),
+      : RuntimeShell(kName, opts,
+                     WorkStealPool::resolved_workers(opts.workers)),
         global_(nullptr, 0, &chunks_),
-        pool_(opts.workers) {
-    if (!opts_.gc_stress && gc_stress_env()) {
-      opts_.gc_stress = true;
-    }
-    if (opts_.gc_global_threshold == 0) {
-      opts_.gc_global_threshold = global_gc_threshold_env();
-    }
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
-    // A heap budget enables the safepoint machinery too: the emergency
-    // cascade's global rung needs the gate.
-    sp_enabled_ = opts_.gc_stress || opts_.gc_global_threshold != 0 ||
-                  chunks_.budget() != 0;
+        gate_(workers()),
+        // A heap budget enables the safepoint machinery too: the
+        // emergency cascade's global rung needs the gate.
+        bell_(gate_,
+              opts_.gc_stress || opts_.gc_global_threshold != 0 ||
+                  chunks_.budget() != 0,
+              opts_.gc_stress, opts_.gc_global_threshold,
+              phase::Phase::kGlobalGc),
+        pool_(opts_.workers) {
     workers_.reserve(pool_.workers());
     for (unsigned i = 0; i < pool_.workers(); ++i) {
       workers_.push_back(std::make_unique<WorkerState>(&global_, &chunks_));
     }
   }
-  LhRuntime(const LhRuntime&) = delete;
-  LhRuntime& operator=(const LhRuntime&) = delete;
 
-  ~LhRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
-    stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
-  }
-
-  const Options& options() const { return opts_; }
-  unsigned workers() const { return pool_.workers(); }
-  Stats stats() const { return stats_.snapshot(); }
-  std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
-  std::size_t live_bytes() const { return chunks_.live_bytes(); }
   // Scheduler idle churn (timed-out parks); see WorkStealPool.
   std::uint64_t scheduler_idle_wakeups() const {
     return pool_.idle_wakeups();
@@ -364,21 +305,7 @@ class LhRuntime {
     // running set for the whole run (leaving it only inside fork2
     // joins, like every other task). Declared after Teardown so the
     // task deactivates before the heaps are dropped.
-    struct ActiveScope {
-      LhRuntime* rt;
-      explicit ActiveScope(LhRuntime* r) : rt(r) {
-        if (rt->sp_enabled_) {
-          rt->gate_.activate(rt->pool_.current_index());
-        }
-      }
-      ~ActiveScope() {
-        if (rt->sp_enabled_) {
-          rt->gate_.deactivate(rt->pool_.current_index());
-        }
-      }
-      ActiveScope(const ActiveScope&) = delete;
-      ActiveScope& operator=(const ActiveScope&) = delete;
-    } act(this);
+    SafepointDoorbell::Member member(bell_, pool_.current_index());
     return f(ctx);
   }
 
@@ -386,12 +313,11 @@ class LhRuntime {
   static auto fork2(Ctx& ctx, std::initializer_list<Local> roots, F&& f,
                     G&& g) {
     using RA = rtapi::BranchResult<F, Ctx>;
-    using RB = rtapi::BranchResult<G, Ctx>;
 
     LhRuntime* rt = ctx.rt_;
     rt->stats_.local().forks.fetch_add(1, std::memory_order_relaxed);
 
-    const bool sp = rt->sp_enabled_;
+    const bool sp = rt->bell_.enabled();
     if (__builtin_expect(sp, 0)) {
       // fork2 is a safepoint of the forking task (no raw Object* is
       // held across it by contract): handle a pending global
@@ -451,41 +377,10 @@ class LhRuntime {
 
     // No join-time heap merge: locals stay put; anything the parent
     // needs was published (promoted) by the branches.
-    if (err_a) {
-      std::rethrow_exception(err_a);
-    }
-    if (task_b.error()) {
-      std::rethrow_exception(task_b.error());
-    }
-    return std::pair<RA, RB>(ch_a.take(), task_b.take_result());
+    return task_b.results(err_a, ch_a);
   }
 
  private:
-  friend class Ctx;
-
-  static bool gc_stress_env() {
-    static const bool on = [] {
-      const char* v = std::getenv("PARMEM_GC_STRESS");
-      return v != nullptr && v[0] != '\0' &&
-             !(v[0] == '0' && v[1] == '\0');
-    }();
-    return on;
-  }
-
-  // PARMEM_GC_GLOBAL_THRESHOLD=bytes: force global collection on for
-  // runtimes whose Options leave it off -- lets the profiling /
-  // flame-diff workflow perturb the policy on an unmodified driver.
-  static std::size_t global_gc_threshold_env() {
-    static const std::size_t bytes = [] {
-      const char* v = std::getenv("PARMEM_GC_GLOBAL_THRESHOLD");
-      if (v == nullptr || v[0] == '\0') {
-        return std::size_t{0};
-      }
-      return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    }();
-    return bytes;
-  }
-
   Object* promote_to_global(Object* v) {
     // Same fault discipline as promote_and_store (this path bypasses
     // it): the injected promote fault fires before any mutation, and
@@ -517,8 +412,8 @@ class LhRuntime {
       // doorbell (the promoter may hold raw pointers, so only ring the
       // bell here -- the next safepoint anyone reaches collects).
       global_.note_remote_bytes(res.bytes);
-      if (__builtin_expect(sp_enabled_, 0)) {
-        note_global_pressure();
+      if (__builtin_expect(bell_.enabled(), 0)) {
+        bell_.ring_if(global_.remote_bytes());
       }
     }
     if (traced) {
@@ -526,17 +421,6 @@ class LhRuntime {
                               res.bytes);
     }
     return res.master;
-  }
-
-  std::size_t effective_global_threshold() const {
-    return opts_.gc_stress ? 1 : opts_.gc_global_threshold;
-  }
-
-  void note_global_pressure() {
-    std::size_t thr = effective_global_threshold();
-    if (thr != 0 && global_.remote_bytes() >= thr) {
-      global_doorbell_.store(true, std::memory_order_relaxed);
-    }
   }
 
   // fork2's gated slow paths, kept out of line so the disabled-default
@@ -551,54 +435,13 @@ class LhRuntime {
 
   // Safepoint poll (allocation slow paths, fork2 boundaries): park
   // through someone else's pending stop, or drive a requested global
-  // collection ourselves.
-  void safepoint() {
-    if (opts_.gc_stress) {
-      global_doorbell_.store(true, std::memory_order_relaxed);
-    }
-    if (gate_.pending()) {
-      gate_.park();
-      return;
-    }
-    if (global_doorbell_.load(std::memory_order_relaxed)) {
-      drive_global_gc(/*forced=*/false);
-    }
+  // collection ourselves -- always, when `forced`.
+  void safepoint(bool forced = false) {
+    bell_.poll(
+        forced, stats_.local(),
+        [this](std::size_t thr) { return global_.remote_bytes() >= thr; },
+        [this](std::size_t) { collect_global_stopped(); });
   }
-
-  void drive_global_gc(bool forced) {
-    std::size_t thr = forced ? 1 : effective_global_threshold();
-    if (thr == 0) {
-      global_doorbell_.store(false, std::memory_order_relaxed);
-      return;
-    }
-    if (!forced && global_.remote_bytes() < thr) {
-      // Under stress still run a full (possibly empty) stop
-      // periodically so the pause protocol itself is exercised on
-      // non-promoting programs.
-      bool force_stop =
-          opts_.gc_stress &&
-          stress_tick_.fetch_add(1, std::memory_order_relaxed) % 32 == 0;
-      if (!force_stop) {
-        global_doorbell_.store(false, std::memory_order_relaxed);
-        return;
-      }
-    }
-    StopGuard stop(gate_, stats_.local());
-    if (!stop) {
-      return;  // parked through another driver's stop instead
-    }
-    // The global-GC phase tag makes the collection below record as a
-    // gc_global pause (trace::pause_kind_from_phase).
-    phase::PhaseScope gc_scope(phase::Phase::kGlobalGc);
-    global_doorbell_.store(false, std::memory_order_relaxed);
-    collect_global_stopped();
-  }
-
-  // Emergency rung of the budget cascade (Ctx::emergency_collect). If
-  // another driver's stop is pending, the stop parks through it
-  // instead: its collection frees memory just the same, and the caller
-  // retries.
-  void drive_emergency_gc() { drive_global_gc(/*forced=*/true); }
 
   // Collect the global heap. Precondition: the world is stopped --
   // every other member of the running set is parked at a safepoint or
@@ -649,15 +492,10 @@ class LhRuntime {
     chunks_.trim(chunks_.live_bytes());
   }
 
-  Options opts_;
-  bool sp_enabled_ = false;  // threshold, budget, or GC-stress on
-  ChunkPool chunks_;
-  ShardedStats stats_{WorkStealPool::resolved_workers(opts_.workers)};
   Heap global_;  // depth 0: the shared promotion target
   std::vector<std::unique_ptr<WorkerState>> workers_;  // depth-1 local heaps
-  SafepointGate gate_{WorkStealPool::resolved_workers(opts_.workers)};
-  std::atomic<bool> global_doorbell_{false};
-  std::atomic<std::uint64_t> stress_tick_{0};
+  SafepointGate gate_;
+  SafepointDoorbell bell_;  // global collection; threshold, budget or stress
   WorkStealPool pool_;  // last member: joins threads before heaps die
 };
 

@@ -58,21 +58,35 @@
 // bench_common::measure() consumes exactly this surface (stats(),
 // peak_bytes(), run()), so any RuntimeLike runtime drops into the
 // figure drivers unchanged.
+//
+// The part of a runtime that is the same in all four -- the chunk
+// pool, the counters, construction from the process config, the stats
+// export and the read-only accessors -- is RuntimeShell below; each
+// runtime derives from it and adds only what differs.
 #pragma once
 
 #include <atomic>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <optional>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
+#include "core/config.hpp"
+#include "core/failpoint.hpp"
+#include "core/heap.hpp"
 #include "core/object.hpp"
+#include "core/profiler.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
 #include "core/stats.hpp"
+#include "core/stats_json.hpp"
+#include "core/trace.hpp"
 
 namespace parmem {
 
@@ -206,8 +220,20 @@ class SpawnedBranch final : public WorkStealPool::Task {
     }
   }
 
-  std::exception_ptr error() const { return err_; }
-  RB take_result() { return chan_.take(); }
+  // After the join: rethrow the first branch error (the left branch's
+  // `err_a` first, matching sequential semantics), else return both
+  // results.
+  template <class RA>
+  std::pair<RA, RB> results(std::exception_ptr err_a,
+                            ResultChannel<Ctx, RA>& ch_a) {
+    if (err_a) {
+      std::rethrow_exception(err_a);
+    }
+    if (err_) {
+      std::rethrow_exception(err_);
+    }
+    return std::pair<RA, RB>(ch_a.take(), chan_.take());
+  }
 
  private:
   WorkStealPool* pool_;
@@ -216,6 +242,155 @@ class SpawnedBranch final : public WorkStealPool::Task {
   ResultChannel<Ctx, RB> chan_;
   std::exception_ptr err_;
   std::atomic<bool> done_{false};
+};
+
+// The process-wide side effects of the config, made once per process
+// by the first runtime constructed: arm PARMEM_FAILPOINTS, and start
+// the PARMEM_TRACE / PARMEM_PROFILE exports.
+inline void install_process_config() {
+  static const bool once = [] {
+    const config::Config& env = config::env();
+    if (!env.failpoints.empty()) {
+      failpoint::install(env.failpoints);
+    }
+    trace::export_at_exit(env.trace_path);
+    profiler::profile_at_exit(env.profile_path, env.profile_hz);
+    return true;
+  }();
+  (void)once;
+}
+
+// The shell every runtime derives from. Options is the runtime's flat
+// Options struct, declared at namespace scope so the base can hold it.
+//
+//   * It owns the ChunkPool and the ShardedStats. As base members they
+//     outlive all of the runtime's own: its WorkStealPool, declared
+//     last, joins its threads first, then its heaps die, and only then
+//     the pool they drew chunks from.
+//   * It resolves the Options against the process config
+//     (core/config.hpp) before the runtime's members are built:
+//     PARMEM_GC_STRESS turns gc_stress on, and a gc_internal_threshold
+//     or gc_global_threshold left at 0 takes its variable -- for
+//     whichever of these fields the runtime has. An explicit heap
+//     budget wins over PARMEM_HEAP_BUDGET the same way.
+//   * At destruction it appends the run's stats JSONL line, with the
+//     resolved configuration (see config_json).
+template <class Options>
+class RuntimeShell {
+ public:
+  RuntimeShell(const RuntimeShell&) = delete;
+  RuntimeShell& operator=(const RuntimeShell&) = delete;
+
+  const Options& options() const { return opts_; }
+  unsigned workers() const { return workers_; }
+  Stats stats() const { return stats_.snapshot(); }
+  std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
+  std::size_t live_bytes() const { return chunks_.live_bytes(); }
+
+ protected:
+  // `workers` is the runtime's resolved worker count.
+  RuntimeShell(const char* name, const Options& opts, unsigned workers)
+      : opts_(resolve(opts)), stats_(workers), name_(name), workers_(workers) {
+    install_process_config();
+    profiler::note_stack_hi();
+    chunks_.set_budget(opts_.heap_budget_bytes != 0
+                           ? opts_.heap_budget_bytes
+                           : config::env().heap_budget);
+    if (!opts_.failpoints.empty()) {
+      failpoint::install(opts_.failpoints);
+    }
+  }
+
+  ~RuntimeShell() {
+    const std::string& path = opts_.stats_json_path.empty()
+                                  ? config::env().stats_json_path
+                                  : opts_.stats_json_path;
+    if (path.empty()) {
+      return;
+    }
+    StatsSnapshot snap;
+    snap.stats = stats_.snapshot();
+    snap.live_bytes = chunks_.live_bytes();
+    snap.peak_bytes = chunks_.peak_bytes();
+    stats_json::write(path, name_, config_json(), snap);
+  }
+
+  // The budget (or an injected chunk fault) refused an allocation:
+  // climb the collection cascade, cheapest rung first -- the task's
+  // own leaf heap (no coordination needed), then `stop`, the runtime's
+  // stopped-world rung (a no-op with its safepoint machinery off). The
+  // caller retries the allocation once; a second failure is the
+  // program's real OOM.
+  template <class CollectLeaf, class Stop>
+  void emergency_collect(CollectLeaf&& collect_leaf, Stop&& stop) {
+    const std::uint64_t trace_t0 = trace::now_ns();
+    const std::uint64_t live_before = chunks_.live_bytes();
+    stats_.local().emergency_gcs.fetch_add(1, std::memory_order_relaxed);
+    collect_leaf();
+    stop();
+    // One event spanning the whole cascade; its constituent
+    // collections also recorded individually above.
+    trace::record_emergency(trace_t0, trace::now_ns() - trace_t0,
+                            live_before);
+  }
+
+  Options opts_;
+  ChunkPool chunks_;
+  ShardedStats stats_;
+
+ private:
+  static Options resolve(Options o) {
+    const config::Config& env = config::env();
+    if constexpr (requires { o.gc_stress; }) {
+      o.gc_stress = o.gc_stress || env.gc_stress;
+    }
+    if constexpr (requires { o.gc_internal_threshold; }) {
+      if (o.gc_internal_threshold == 0) {
+        o.gc_internal_threshold = env.internal_gc_threshold;
+      }
+    }
+    if constexpr (requires { o.gc_global_threshold; }) {
+      if (o.gc_global_threshold == 0) {
+        o.gc_global_threshold = env.gc_global_threshold.value_or(0);
+      }
+    }
+    return o;
+  }
+
+  // The configuration a stats line records, one flat JSON object:
+  // resolved workers, heap budget, gc_min_budget, gc_growth_factor,
+  // gc_stress (false where the runtime has no stress mode), and each
+  // collection threshold the runtime has.
+  std::string config_json() const {
+    bool stress = false;
+    if constexpr (requires { opts_.gc_stress; }) {
+      stress = opts_.gc_stress;
+    }
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\"workers\":%u,\"heap_budget_bytes\":%zu,"
+                  "\"gc_min_budget\":%zu,\"gc_growth_factor\":%g,"
+                  "\"gc_stress\":%s",
+                  workers_, chunks_.budget(), opts_.gc_min_budget,
+                  opts_.gc_growth_factor, stress ? "true" : "false");
+    std::string out = buf;
+    auto field = [&out](const char* key, std::size_t v) {
+      out += std::string(",\"") + key + "\":" + std::to_string(v);
+    };
+    if constexpr (requires { opts_.gc_join_threshold; }) {
+      field("gc_join_threshold", opts_.gc_join_threshold);
+    }
+    if constexpr (requires { opts_.gc_internal_threshold; }) {
+      field("gc_internal_threshold", opts_.gc_internal_threshold);
+    }
+    if constexpr (requires { opts_.gc_global_threshold; }) {
+      field("gc_global_threshold", opts_.gc_global_threshold);
+    }
+    return out + "}";
+  }
+
+  const char* name_;
+  unsigned workers_;
 };
 
 // Lock-free point-in-time sample of a runtime's counters + memory

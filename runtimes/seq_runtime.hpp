@@ -13,36 +13,33 @@
 #include <string>
 #include <utility>
 
-#include "core/failpoint.hpp"
 #include "core/gc_leaf.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
-#include "core/profiler.hpp"
 #include "core/roots.hpp"
 #include "core/stats.hpp"
-#include "core/stats_json.hpp"
-#include "core/trace.hpp"
 #include "runtimes/runtime_api.hpp"
 
 namespace parmem {
 
-class SeqRuntime {
+struct SeqOptions {
+  unsigned workers = 1;  // accepted for surface parity; always runs on 1
+  std::size_t gc_min_budget = std::size_t{4} << 20;
+  double gc_growth_factor = 8.0;
+  // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
+  // Exceeding it triggers an emergency collection + one retry before
+  // parmem::OutOfMemory reaches the program.
+  std::size_t heap_budget_bytes = 0;
+  std::string failpoints;  // e.g. "chunk_alloc=fail@3"; "" = none
+  // Append one JSON line of counters + pause-histogram summaries to
+  // this file at runtime destruction; "" = PARMEM_STATS_JSON or none.
+  std::string stats_json_path;
+};
+
+class SeqRuntime : public rtapi::RuntimeShell<SeqOptions> {
  public:
   static constexpr const char* kName = "seq";
-
-  struct Options {
-    unsigned workers = 1;  // accepted for surface parity; always runs on 1
-    std::size_t gc_min_budget = std::size_t{4} << 20;
-    double gc_growth_factor = 8.0;
-    // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
-    // Exceeding it triggers an emergency collection + one retry before
-    // parmem::OutOfMemory reaches the program.
-    std::size_t heap_budget_bytes = 0;
-    std::string failpoints;  // e.g. "chunk_alloc=fail@3"; "" = none
-    // Append one JSON line of counters + pause-histogram summaries to
-    // this file at runtime destruction; "" = PARMEM_STATS_JSON or none.
-    std::string stats_json_path;
-  };
+  using Options = SeqOptions;
 
   class Ctx {
    public:
@@ -50,14 +47,10 @@ class SeqRuntime {
     Ctx& operator=(const Ctx&) = delete;
 
     Object* alloc(std::uint32_t nptr, std::uint32_t nscalar) {
-      std::size_t size = Object::size_bytes(nptr, nscalar);
-      char* p = heap_->try_bump(size);
-      if (__builtin_expect(p == nullptr, 0)) {
+      Object* o = heap_->try_alloc(nptr, nscalar);
+      if (__builtin_expect(o == nullptr, 0)) {
         return alloc_slow(nptr, nscalar);
       }
-      Object* o = reinterpret_cast<Object*>(p);
-      o->init_header(nptr, nscalar);
-      o->zero_fields();
       return o;
     }
 
@@ -139,33 +132,7 @@ class SeqRuntime {
   };
 
   SeqRuntime() : SeqRuntime(Options{}) {}
-  explicit SeqRuntime(const Options& opts) : opts_(opts) {
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
-  }
-  SeqRuntime(const SeqRuntime&) = delete;
-  SeqRuntime& operator=(const SeqRuntime&) = delete;
-
-  ~SeqRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
-    stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
-  }
-
-  const Options& options() const { return opts_; }
-  unsigned workers() const { return 1; }
-  Stats stats() const { return stats_.snapshot(); }
-  std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
-  std::size_t live_bytes() const { return chunks_.live_bytes(); }
+  explicit SeqRuntime(const Options& opts) : RuntimeShell(kName, opts, 1) {}
 
   template <class F>
   auto run(F&& f) {
@@ -191,11 +158,6 @@ class SeqRuntime {
     RB rb = rtapi::invoke_branch(g, ctx);
     return std::pair<RA, RB>(ch_a.take(), std::move(rb));
   }
-
- private:
-  Options opts_;
-  ChunkPool chunks_;
-  ShardedStats stats_{1};  // sequential: one shard
 };
 
 static_assert(RuntimeLike<SeqRuntime>);

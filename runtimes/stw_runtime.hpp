@@ -30,38 +30,35 @@
 #include <utility>
 #include <vector>
 
-#include "core/failpoint.hpp"
 #include "core/gc_parallel.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
-#include "core/profiler.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
 #include "core/stats.hpp"
-#include "core/stats_json.hpp"
-#include "core/trace.hpp"
 #include "runtimes/runtime_api.hpp"
 
 namespace parmem {
 
-class StwRuntime {
+struct StwOptions {
+  unsigned workers = 0;  // 0 = one per hardware thread
+  std::size_t gc_min_budget = std::size_t{32} << 20;  // shared-heap bytes
+  double gc_growth_factor = 8.0;
+  // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
+  // Exceeding it forces a full stop-the-world collection and one
+  // retry before parmem::OutOfMemory reaches the program.
+  std::size_t heap_budget_bytes = 0;
+  std::string failpoints;  // e.g. "chunk_alloc=fail@3"; "" = none
+  // Append one JSON line of counters + pause-histogram summaries to
+  // this file at runtime destruction; "" = PARMEM_STATS_JSON or none.
+  std::string stats_json_path;
+};
+
+class StwRuntime : public rtapi::RuntimeShell<StwOptions> {
  public:
   static constexpr const char* kName = "stw";
-
-  struct Options {
-    unsigned workers = 0;  // 0 = one per hardware thread
-    std::size_t gc_min_budget = std::size_t{32} << 20;  // shared-heap bytes
-    double gc_growth_factor = 8.0;
-    // Hard cap on pool bytes; 0 = PARMEM_HEAP_BUDGET, else unlimited.
-    // Exceeding it forces a full stop-the-world collection and one
-    // retry before parmem::OutOfMemory reaches the program.
-    std::size_t heap_budget_bytes = 0;
-    std::string failpoints;  // e.g. "chunk_alloc=fail@3"; "" = none
-    // Append one JSON line of counters + pause-histogram summaries to
-    // this file at runtime destruction; "" = PARMEM_STATS_JSON or none.
-    std::string stats_json_path;
-  };
+  using Options = StwOptions;
 
   class Ctx {
    public:
@@ -69,14 +66,10 @@ class StwRuntime {
     Ctx& operator=(const Ctx&) = delete;
 
     Object* alloc(std::uint32_t nptr, std::uint32_t nscalar) {
-      std::size_t size = Object::size_bytes(nptr, nscalar);
-      char* p = heap_->try_bump(size);
-      if (__builtin_expect(p == nullptr, 0)) {
+      Object* o = heap_->try_alloc(nptr, nscalar);
+      if (__builtin_expect(o == nullptr, 0)) {
         return alloc_slow(nptr, nscalar);
       }
-      Object* o = reinterpret_cast<Object*>(p);
-      o->init_header(nptr, nscalar);
-      o->zero_fields();
       return o;
     }
 
@@ -161,37 +154,17 @@ class StwRuntime {
 
   StwRuntime() : StwRuntime(Options{}) {}
   explicit StwRuntime(const Options& opts)
-      : opts_(opts), gc_budget_(opts.gc_min_budget), pool_(opts.workers) {
+      : RuntimeShell(kName, opts,
+                     WorkStealPool::resolved_workers(opts.workers)),
+        gc_budget_(opts_.gc_min_budget),
+        gate_(workers()),
+        ctxs_(workers()),
+        pool_(opts_.workers) {
     for (unsigned i = 0; i < pool_.workers(); ++i) {
       buffers_.push_back(std::make_unique<Heap>(nullptr, 0, &chunks_));
       heaps_.push_back(buffers_.back().get());
     }
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
   }
-  StwRuntime(const StwRuntime&) = delete;
-  StwRuntime& operator=(const StwRuntime&) = delete;
-
-  ~StwRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
-    stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
-  }
-
-  const Options& options() const { return opts_; }
-  unsigned workers() const { return pool_.workers(); }
-  Stats stats() const { return stats_.snapshot(); }
-  std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
-  std::size_t live_bytes() const { return chunks_.live_bytes(); }
 
   template <class F>
   auto run(F&& f) {
@@ -216,7 +189,6 @@ class StwRuntime {
                     G&& g) {
     (void)roots;
     using RA = rtapi::BranchResult<F, Ctx>;
-    using RB = rtapi::BranchResult<G, Ctx>;
 
     StwRuntime* rt = ctx.rt_;
     rt->stats_.local().forks.fetch_add(1, std::memory_order_relaxed);
@@ -251,13 +223,7 @@ class StwRuntime {
     task_b.join(err_a != nullptr);
     rt->activate();
 
-    if (err_a) {
-      std::rethrow_exception(err_a);
-    }
-    if (task_b.error()) {
-      std::rethrow_exception(task_b.error());
-    }
-    return std::pair<RA, RB>(ch_a.take(), task_b.take_result());
+    return task_b.results(err_a, ch_a);
   }
 
  private:
@@ -299,14 +265,11 @@ class StwRuntime {
         std::memory_order_relaxed);
   }
 
-  Options opts_;
-  ChunkPool chunks_;
   std::vector<std::unique_ptr<Heap>> buffers_;  // one per pool worker
   std::vector<Heap*> heaps_;  // every buffer; a stop moves its own first
-  ShardedStats stats_{WorkStealPool::resolved_workers(opts_.workers)};
   std::atomic<std::size_t> gc_budget_;
-  SafepointGate gate_{WorkStealPool::resolved_workers(opts_.workers)};
-  CtxRegistry<Ctx> ctxs_{WorkStealPool::resolved_workers(opts_.workers)};
+  SafepointGate gate_;
+  CtxRegistry<Ctx> ctxs_;
   WorkStealPool pool_;  // last member: joins threads before the rest die
 };
 

@@ -11,7 +11,10 @@ format (auto-detected per file):
   * parmem stats JSON-lines (PARMEM_STATS_JSON output): records
     matched by runtime name + occurrence order; gated metrics are
     counters.gc_ns, counters.gc_pause_ns, memory.peak_bytes, and each
-    pause kind's sum_ns / p95_ns / p99_ns.
+    pause kind's sum_ns / p95_ns / p99_ns. Two matched records that
+    both carry a "config" object must carry the same one: runs of
+    different configurations are not compared (exit 2). Recordings
+    from before the config was exported still compare.
 
 A row REGRESSES when current > baseline * (1 + threshold) and the
 absolute growth also exceeds --abs-floor (so sub-nanosecond noise on
@@ -31,7 +34,9 @@ import sys
 
 
 def load_records(path):
-    """Parse either format into {row_name: numeric value}."""
+    """Parse either format into ({row_name: numeric value}, format,
+    {record tag: config object}); the last is empty for benchmark
+    JSON and for stats records without a config."""
     with open(path) as f:
         text = f.read()
     try:
@@ -39,10 +44,11 @@ def load_records(path):
     except json.JSONDecodeError:
         doc = None
     if isinstance(doc, dict) and "benchmarks" in doc:
-        return bench_rows(doc), "google-benchmark"
+        return bench_rows(doc), "google-benchmark", {}
     # JSON-lines of per-runtime stats objects.
     rows = {}
     seen = {}
+    configs = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -52,11 +58,13 @@ def load_records(path):
         idx = seen.get(rt, 0)
         seen[rt] = idx + 1
         tag = rt if idx == 0 else f"{rt}#{idx}"
+        if "config" in rec:
+            configs[tag] = rec["config"]
         for name, val in stats_metrics(rec):
             rows[f"{tag}/{name}"] = val
     if not rows:
         raise ValueError(f"{path}: neither benchmark JSON nor stats JSONL")
-    return rows, "stats-jsonl"
+    return rows, "stats-jsonl", configs
 
 
 def bench_rows(doc):
@@ -98,14 +106,22 @@ def main():
     args = ap.parse_args()
 
     try:
-        base, base_fmt = load_records(args.baseline)
-        cur, cur_fmt = load_records(args.current)
+        base, base_fmt, base_cfg = load_records(args.baseline)
+        cur, cur_fmt, cur_cfg = load_records(args.current)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"perf_diff: {e}", file=sys.stderr)
         return 2
     if base_fmt != cur_fmt:
         print(f"perf_diff: format mismatch ({base_fmt} vs {cur_fmt})",
               file=sys.stderr)
+        return 2
+    differ = sorted(t for t in base_cfg
+                    if t in cur_cfg and base_cfg[t] != cur_cfg[t])
+    for tag in differ:
+        print(f"perf_diff: {tag} ran with a different config: "
+              f"{json.dumps(base_cfg[tag], sort_keys=True)} vs "
+              f"{json.dumps(cur_cfg[tag], sort_keys=True)}", file=sys.stderr)
+    if differ:
         return 2
 
     pat = re.compile(args.only) if args.only else None

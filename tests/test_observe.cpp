@@ -362,11 +362,27 @@ PARMEM_TEST(observe_stats_json_export_parses) {
   z.strassen_n = 16;
   z.strassen_cutoff = 8;
 
-  {  // Two runtimes, one path: first truncates, second appends.
+  {  // Four runtimes, one path: first truncates, the rest append.
     SeqRuntime::Options o;
     o.gc_min_budget = 1;
     o.stats_json_path = path;
     SeqRuntime rt(o);
+    (void)bench_strassen(rt, z);
+  }
+  {
+    StwRuntime::Options o;
+    o.workers = 2;
+    o.gc_min_budget = 1;
+    o.stats_json_path = path;
+    StwRuntime rt(o);
+    (void)bench_strassen(rt, z);
+  }
+  {
+    LhRuntime::Options o;
+    o.workers = 2;
+    o.gc_global_threshold = 4096;
+    o.stats_json_path = path;
+    LhRuntime rt(o);
     (void)bench_strassen(rt, z);
   }
   {
@@ -393,7 +409,7 @@ PARMEM_TEST(observe_stats_json_export_parses) {
   }
   std::fclose(f);
 
-  CHECK_EQ(lines.size(), 2u);
+  CHECK_EQ(lines.size(), 4u);
   for (const std::string& s : lines) {
     CHECK(json_object_line_wellformed(s));
     CHECK(s.find("\"runtime\":\"") != std::string::npos);
@@ -402,13 +418,34 @@ PARMEM_TEST(observe_stats_json_export_parses) {
     CHECK(s.find("\"pauses\":{") != std::string::npos);
     CHECK(s.find("\"gc_leaf\":{\"count\":") != std::string::npos);
     CHECK(s.find("\"peak_bytes\":") != std::string::npos);
+    // Every line records the configuration that produced it.
+    for (const char* key :
+         {"\"config\":{\"workers\":", "\"heap_budget_bytes\":",
+          "\"gc_min_budget\":", "\"gc_growth_factor\":8,",
+          "\"gc_stress\":"}) {
+      CHECK(s.find(key) != std::string::npos);
+    }
   }
-  CHECK(lines[0].find("\"runtime\":\"seq\"") != std::string::npos);
-  CHECK(lines[1].find("\"runtime\":\"hier\"") != std::string::npos);
+  CHECK(lines[0].find("\"runtime\":\"seq\",\"config\":{\"workers\":1,") !=
+        std::string::npos);
+  CHECK(lines[1].find("\"runtime\":\"stw\",\"config\":{\"workers\":2,") !=
+        std::string::npos);
+  CHECK(lines[2].find(
+            "\"runtime\":\"localheap\",\"config\":{\"workers\":2,") !=
+        std::string::npos);
+  CHECK(lines[3].find("\"runtime\":\"hier\",\"config\":{\"workers\":2,") !=
+        std::string::npos);
+  CHECK(lines[0].find("\"gc_min_budget\":1,") != std::string::npos);
+  CHECK(lines[1].find("\"gc_min_budget\":1,") != std::string::npos);
+  CHECK(lines[2].find("\"gc_global_threshold\":4096}") != std::string::npos);
+  CHECK(lines[3].find("\"gc_stress\":true,") != std::string::npos);
+  CHECK(lines[3].find("\"gc_join_threshold\":0,") != std::string::npos);
+  CHECK(lines[3].find("\"gc_internal_threshold\":") != std::string::npos);
 
-  // Both stressed runs collected; their exports must say so.
+  // The seq, stw and hier runs collected; their exports must say so.
   CHECK(lines[0].find("\"gc_count\":0,") == std::string::npos);
   CHECK(lines[1].find("\"gc_count\":0,") == std::string::npos);
+  CHECK(lines[3].find("\"gc_count\":0,") == std::string::npos);
 
   std::remove(path);
   trace::reset();

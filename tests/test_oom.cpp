@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "bench_common/workloads.hpp"
+#include "core/config.hpp"
 #include "core/failpoint.hpp"
 #include "core/hier_runtime.hpp"
 #include "runtimes/localheap_runtime.hpp"
@@ -136,16 +137,20 @@ PARMEM_TEST(oom_failpoint_spec_parsing) {
   CHECK(!failpoint::Registry::instance().armed());
 
   std::size_t b = 0;
-  CHECK(env::parse_size_spec("768M", &b) && b == (std::size_t{768} << 20));
-  CHECK(env::parse_size_spec("12K", &b) && b == (std::size_t{12} << 10));
-  CHECK(env::parse_size_spec("2G", &b) && b == (std::size_t{2} << 30));
-  CHECK(env::parse_size_spec("0", &b) && b == 0);
-  CHECK(env::parse_size_spec("123456", &b) && b == 123456);
-  CHECK(!env::parse_size_spec("", &b));
-  CHECK(!env::parse_size_spec("12X", &b));
-  CHECK(!env::parse_size_spec("M", &b));
-  CHECK(!env::parse_size_spec("12MB", &b));
-  CHECK(!env::parse_size_spec(nullptr, &b));
+  CHECK(config::parse_size_spec("768M", &b) && b == (std::size_t{768} << 20));
+  CHECK(config::parse_size_spec("12K", &b) && b == (std::size_t{12} << 10));
+  CHECK(config::parse_size_spec("2G", &b) && b == (std::size_t{2} << 30));
+  CHECK(config::parse_size_spec("0", &b) && b == 0);
+  CHECK(config::parse_size_spec("123456", &b) && b == 123456);
+  CHECK(!config::parse_size_spec("", &b));
+  CHECK(!config::parse_size_spec("12X", &b));
+  CHECK(!config::parse_size_spec("M", &b));
+  CHECK(!config::parse_size_spec("12MB", &b));
+  CHECK(!config::parse_size_spec(nullptr, &b));
+  CHECK(!config::parse_size_spec("-1", &b));
+  CHECK(!config::parse_size_spec(" 5", &b));
+  CHECK(!config::parse_size_spec("99999999999999999999", &b));
+  CHECK(!config::parse_size_spec("17179869184G", &b));  // 2^64 bytes
 }
 
 PARMEM_TEST(oom_failpoint_trigger_schedules) {
@@ -503,11 +508,14 @@ PARMEM_TEST(oom_composes_with_gc_stress) {
 
 // ---- env validation (satellite b): exit(2) + one-line diagnosis -------------
 
-// Spawned by oom_env_validation in a child process; just constructs a
-// runtime, which is what triggers env validation.
+// Spawned by oom_env_validation in a child process; just constructs
+// runtimes, which is what triggers env validation, and reports the
+// global threshold an LhRuntime resolved from the environment.
 PARMEM_TEST(oom_env_probe) {
   SeqRuntime rt;
   (void)rt;
+  LhRuntime lh({.workers = 1});
+  std::printf("gc_global_threshold=%zu\n", lh.options().gc_global_threshold);
 }
 
 PARMEM_TEST(oom_env_validation) {
@@ -515,9 +523,21 @@ PARMEM_TEST(oom_env_validation) {
   ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
   CHECK(n > 0);
   exe[n] = '\0';
-  auto run_with_env = [&](const std::string& env) {
-    std::string cmd = env + " " + exe + " oom_env_probe >/dev/null 2>&1";
-    int rc = std::system(cmd.c_str());
+  // Runs the probe under `env`; returns its exit status and, in *out,
+  // what it printed.
+  auto run_with_env = [&](const std::string& env, std::string* out = nullptr) {
+    std::string cmd = env + " " + exe + " oom_env_probe 2>/dev/null";
+    std::FILE* p = ::popen(cmd.c_str(), "r");
+    CHECK(p != nullptr);
+    std::string text;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) {
+      text += buf;
+    }
+    int rc = ::pclose(p);
+    if (out != nullptr) {
+      *out = text;
+    }
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   };
   CHECK_EQ(run_with_env("PARMEM_HEAP_BUDGET=768M"), 0);
@@ -528,6 +548,16 @@ PARMEM_TEST(oom_env_validation) {
   CHECK_EQ(run_with_env("PARMEM_HEAP_BUDGET=12MB"), 2);
   CHECK_EQ(run_with_env("PARMEM_FAILPOINTS='nosite=fail@1'"), 2);
   CHECK_EQ(run_with_env("PARMEM_FAILPOINTS='chunk_alloc=prob(9,1)'"), 2);
+  // The collection thresholds take the budget's grammar: 1M is 1 MiB,
+  // not 1 byte, and a malformed value is an error, not "off".
+  std::string out;
+  CHECK_EQ(run_with_env("PARMEM_GC_GLOBAL_THRESHOLD=1M", &out), 0);
+  CHECK(out.find("gc_global_threshold=1048576\n") != std::string::npos);
+  CHECK_EQ(run_with_env("PARMEM_GC_GLOBAL_THRESHOLD=abc"), 2);
+  CHECK_EQ(run_with_env("PARMEM_INTERNAL_GC_THRESHOLD=4K"), 0);
+  CHECK_EQ(run_with_env("PARMEM_INTERNAL_GC_THRESHOLD=12MB"), 2);
+  CHECK_EQ(run_with_env("PARMEM_PROFILE_HZ=0"), 2);
+  CHECK_EQ(run_with_env("PARMEM_PROFILE_HZ=20000"), 2);
 }
 
 }  // namespace
