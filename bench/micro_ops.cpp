@@ -7,6 +7,7 @@
 #include <atomic>
 #include <thread>
 
+#include "bench_common/workloads.hpp"
 #include "core/deque.hpp"
 #include "core/hier_runtime.hpp"
 #include "core/sched.hpp"
@@ -68,6 +69,61 @@ void BM_WriteNonptrLocal(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_WriteNonptrLocal);
+
+// The two rows above time one access per iteration, which is the same
+// load of the forwarding word under any memory order. This row runs
+// serve's dedup probe loop instead: clear one 512-slot table through
+// write_i64, then insert a value stream with linear probing through
+// read_i64_mut/write_i64, the table bounds held in a closure as the
+// serve session holds them. How the compiler lays out the blocks
+// around each forwarding check shows up here.
+void BM_ReadMutableScan(benchmark::State& state) {
+  constexpr std::int64_t kSlots = 512;
+  HierRuntime rt;
+  rt.run([&state](Ctx& ctx) {
+    RootFrame frame(ctx);
+    Local table = frame.local(ctx.alloc(0, kSlots));
+    const std::int64_t region = kSlots;
+    const std::int64_t n = kSlots / 2;
+    auto insert = [&table, region, n](std::uint64_t s) {
+      Object* to = table.get();
+      for (std::int64_t j = 0; j < region; ++j) {
+        Ctx::write_i64(to, static_cast<std::uint32_t>(j), 0);
+      }
+      std::uint64_t uniques = 0;
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::int64_t v =
+            static_cast<std::int64_t>(
+                bench::wl::mix64(s + static_cast<std::uint64_t>(i)) %
+                static_cast<std::uint64_t>(n / 2 + 1)) +
+            1;
+        std::int64_t j = static_cast<std::int64_t>(
+            bench::wl::mix64(static_cast<std::uint64_t>(v) ^ s) %
+            static_cast<std::uint64_t>(region));
+        for (std::int64_t probes = 0; probes < region; ++probes) {
+          const std::int64_t slot =
+              Ctx::read_i64_mut(to, static_cast<std::uint32_t>(j));
+          if (slot == 0) {
+            Ctx::write_i64(to, static_cast<std::uint32_t>(j), v);
+            ++uniques;
+            break;
+          }
+          if (slot == v) {
+            break;  // duplicate
+          }
+          j = j + 1 < region ? j + 1 : 0;
+        }
+      }
+      return uniques;
+    };
+    std::uint64_t s = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(insert(++s));
+    }
+    return 0;
+  });
+}
+BENCHMARK(BM_ReadMutableScan);
 
 void BM_WritePtrLocalFastPath(benchmark::State& state) {
   HierRuntime rt;

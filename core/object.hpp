@@ -12,6 +12,40 @@
 // copy now lives up there"), (b) the Cheney forwarding pointer during
 // leaf GC, and (c) the claim word for fine-grained promotion (value
 // kBusy while a claimer is copying).
+//
+// Memory ordering of the forwarding word. The word carries
+// synchronisation in one direction only: from the thread that installs
+// a non-null value to a thread that reads that value. Every installer
+// writes the copy first and then publishes it with a release store:
+// promotion's `set_fwd` (coarse and fine-grained), the fine-grained
+// claim `claim_fwd` (an acq_rel CAS), and the parallel collector's
+// claim + `set_fwd`. Leaf collection is the one relaxed installer: it
+// runs on a single task's heap, and only that task reads its to-space
+// copies' fields until a fork or join edge publishes them (a sibling
+// that chases into one reads only its chunk's owner).
+//
+// A null word synchronises with nothing (only `init_header`'s relaxed
+// store ever writes null), so `chase` reads it relaxed. Reading null
+// means "not moved as far as this thread can tell", and the fields of
+// an unmoved object reach the reader through the program's own edges
+// -- fork, join, the gate of a stopped world, or `ptr()`'s acquire
+// load pairing with `set_ptr`'s release -- never through this word.
+// Racing a mutation with a promotion of the same object is a program
+// race (core/promote.hpp). Only a non-null word is reloaded with
+// acquire. Callers audited for reliance on acquire-on-null:
+//   - hier and localheap mutable accessors (read_i64_mut, write_i64,
+//     read_ptr, write_ptr, publish) read fields of the returned
+//     object, which the edges above order;
+//   - promotion (core/promote.hpp) copies a chased object only under
+//     the path locks (coarse) or after its own acq_rel claim_fwd
+//     (fine-grained), and reads only its immutable header before that;
+//   - leaf evacuate and mark (core/gc_leaf.hpp) copy only objects of
+//     their own heap, whose words only their own task writes;
+//   - the parallel collector's forward (core/gc_parallel.hpp) copies
+//     only after winning claim_fwd, and a loser's chase sees the
+//     winner's non-null word and takes the acquire reload;
+//   - internal and global collection run on a stopped world, ordered
+//     by the safepoint gate.
 #pragma once
 
 #include <atomic>
@@ -93,13 +127,25 @@ class Object {
                                         std::memory_order_acquire);
   }
 
-  // Follow the forwarding chain to the master copy. One predictable
-  // not-taken branch for unpromoted objects; spins past in-flight
-  // fine-grained claims. Force-inlined: this IS the mutable-barrier
-  // fast path, and once the runtime translation unit grew past the
-  // inliner's unit-growth budget gcc started outlining it, tripling
-  // the fig08 barrier rows.
+  // Follow the forwarding chain to the master copy. The fast path is
+  // one relaxed load of the forwarding word and one predicted branch:
+  // an unpromoted object returns at once. A non-null word (a master,
+  // or the kBusy claim of an in-flight fine-grained promotion) is
+  // reloaded with acquire, so the chain walk reads every copy only
+  // after the store that published it; in-flight claims are spun past.
+  // See "Memory ordering of the forwarding word" at the top of this
+  // file for why null needs no acquire. Force-inlined: this IS the
+  // mutable-barrier fast path, and once the runtime translation unit
+  // grew past the inliner's unit-growth budget gcc started outlining
+  // it, tripling the fig08 barrier rows.
   [[gnu::always_inline]] static inline Object* chase(Object* o) {
+    if (__builtin_expect(
+            o->fwd_.load(std::memory_order_relaxed) == nullptr, 1)) {
+      return o;
+    }
+    // The reload is a second load rather than a standalone acquire
+    // fence: TSan does not model fences, and the load pairs with the
+    // release store that installed the value it reads.
     Object* f = o->fwd_.load(std::memory_order_acquire);
     while (f != nullptr) {
       if (f == busy_sentinel()) {

@@ -128,46 +128,49 @@ BranchResult<Fn, Ctx> invoke_branch(Fn& fn, Ctx& c) {
 //     collection has rewritten it like every other root.
 //
 // Non-pointer results pass through a plain buffer, so fork2 call
-// sites need no special cases -- and pay no frame push for them.
+// sites need no special cases -- and pay no frame push for them. The
+// buffer is a value-initialised R whenever R has a default constructor
+// (every result in this repository does): gcc 12 cannot see that a
+// std::optional is engaged on every path that reads it and warned
+// -Wmaybe-uninitialized at every fork2 instantiation.
 template <class Ctx, class R>
 class ResultChannel {
-  static constexpr bool kRooted = std::is_same_v<R, Object*>;
+  static constexpr bool kPlain = std::is_default_constructible_v<R>;
 
  public:
-  explicit ResultChannel(Ctx& parent) {
-    if constexpr (kRooted) {
-      frame_.emplace(parent);
-      slot_ = frame_->local(nullptr);
-    }
-  }
+  explicit ResultChannel(Ctx&) {}
   ResultChannel(const ResultChannel&) = delete;
   ResultChannel& operator=(const ResultChannel&) = delete;
 
-  void store(Ctx& executing, R&& v) {
-    if constexpr (kRooted) {
-      slot_.set(executing.publish(v));
-    } else {
-      (void)executing;
-      out_.emplace(std::move(v));
-    }
-  }
-
+  void store(Ctx&, R&& v) { out_ = std::move(v); }
   R take() {
-    if constexpr (kRooted) {
-      return slot_.get();
+    if constexpr (kPlain) {
+      return std::move(out_);
     } else {
       return std::move(*out_);
     }
   }
 
  private:
-  struct Nothing {};
-  [[no_unique_address]] std::conditional_t<kRooted, std::optional<RootFrame>,
-                                           Nothing>
-      frame_;
-  [[no_unique_address]] std::conditional_t<kRooted, Local, Nothing> slot_;
-  [[no_unique_address]] std::conditional_t<kRooted, Nothing, std::optional<R>>
-      out_;
+  std::conditional_t<kPlain, R, std::optional<R>> out_{};
+};
+
+template <class Ctx>
+class ResultChannel<Ctx, Object*> {
+ public:
+  explicit ResultChannel(Ctx& parent)
+      : frame_(parent), slot_(frame_.local(nullptr)) {}
+  ResultChannel(const ResultChannel&) = delete;
+  ResultChannel& operator=(const ResultChannel&) = delete;
+
+  void store(Ctx& executing, Object*&& v) {
+    slot_.set(executing.publish(v));
+  }
+  Object* take() { return slot_.get(); }
+
+ private:
+  RootFrame frame_;
+  Local slot_;
 };
 
 // The spawn/join half of fork2, shared by every runtime: push the

@@ -1,10 +1,16 @@
 // Read/write barrier semantics: immutable vs mutable paths on local
 // objects, distant (ancestor-heap) access from a forked child, and the
 // promoted-object barrier reading through stale references -- the
-// BM_ReadMutablePromoted scenario -- in both promotion modes.
+// BM_ReadMutablePromoted scenario -- in both promotion modes -- and
+// the memory-ordering contract of the forwarding word itself.
+#include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "core/hier_runtime.hpp"
+#include "core/object.hpp"
 #include "tests/test_util.hpp"
 
 namespace parmem {
@@ -113,6 +119,67 @@ PARMEM_TEST(barrier_stale_reference_coarse) {
 
 PARMEM_TEST(barrier_stale_reference_fine) {
   stale_reference_scenario(PromotionMode::kFineGrained);
+}
+
+// The forwarding word's contract (core/object.hpp): chase reads it
+// relaxed and reloads a non-null word with acquire, so a reader that
+// reaches a master sees every word its installer wrote before the
+// release store. A writer thread installs one master per round with
+// the fine-grained protocol (claim_fwd -> copy -> set_fwd) while a
+// reader spins on chase. The two threads share no other ordering: the
+// round counter they pace each other with is relaxed. On x86 the
+// checks pass under any order; under TSan a relaxed reload makes the
+// reader's loads of the master a reported race.
+PARMEM_TEST(object_chase_forwarding_synchronizes) {
+  constexpr int kRounds = 2000;
+  constexpr std::uint32_t kFields = 6;
+  struct alignas(Object::kAlign) Storage {
+    unsigned char bytes[object_bytes(0, kFields)];
+  };
+  auto expected = [](int round, std::uint32_t i) {
+    return std::int64_t{round} * kFields + i + 1;
+  };
+  std::vector<Storage> stale(kRounds);
+  std::vector<Storage> masters(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    Object* o = init_object(&stale[r], 0, kFields);
+    for (std::uint32_t i = 0; i < kFields; ++i) {
+      o->set_scalar(i, expected(r, i));
+    }
+  }
+  std::atomic<int> reader_round{-1};
+
+  std::thread writer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      while (reader_round.load(std::memory_order_relaxed) < r) {
+        std::this_thread::yield();
+      }
+      Object* o = reinterpret_cast<Object*>(&stale[r]);
+      Object* m = init_object(&masters[r], 0, kFields);
+      CHECK(o->claim_fwd());
+      std::memcpy(m->scalars(), o->scalars(), 8u * kFields);
+      o->set_fwd(m);
+    }
+  });
+  std::thread reader([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      Object* o = reinterpret_cast<Object*>(&stale[r]);
+      reader_round.store(r, std::memory_order_relaxed);
+      Object* seen = o;
+      while ((seen = Object::chase(o)) == o) {
+        // Unpromoted: the stale copy keeps its own fields.
+        CHECK_EQ(seen->scalar(kFields - 1), expected(r, kFields - 1));
+        std::this_thread::yield();
+      }
+      CHECK(seen == reinterpret_cast<Object*>(&masters[r]));
+      CHECK_EQ(seen->nscalar(), kFields);
+      for (std::uint32_t i = 0; i < kFields; ++i) {
+        CHECK_EQ(seen->scalar(i), expected(r, i));
+      }
+    }
+  });
+  writer.join();
+  reader.join();
 }
 
 }  // namespace
