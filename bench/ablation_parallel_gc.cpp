@@ -27,10 +27,8 @@ using namespace parmem;
 
 // Builds a mixed graph (~bytes of cells, arrays, and a fan hub) in one
 // heap; returns roots.
-std::vector<Object*> build_heap(HeapArena& arena, HeapRecord*& heap,
-                                std::size_t target_bytes,
+std::vector<Object*> build_heap(Heap& heap, std::size_t target_bytes,
                                 std::uint64_t seed) {
-  heap = arena.create(nullptr, 0);
   std::uint64_t s = seed;
   auto rnd = [&s](std::uint64_t mod) {
     s = data::hash64(s, mod + 1);
@@ -44,7 +42,7 @@ std::vector<Object*> build_heap(HeapArena& arena, HeapRecord*& heap,
     // whole heap through wide (parallelism-friendly) subgraphs.
     const auto np = static_cast<std::uint32_t>(1 + rnd(3));
     const auto nn = static_cast<std::uint32_t>(1 + rnd(24));
-    void* mem = heap->allocate_raw(object_bytes(np, nn));
+    void* mem = heap.bump_raw(object_bytes(np, nn));
     Object* o = init_object(mem, np, nn);
     for (std::uint32_t k = 0; k < nn; ++k) {
       o->store_i64_plain(k, static_cast<std::int64_t>(rnd(1u << 30)));
@@ -88,14 +86,13 @@ int main(int argc, char** argv) {
     core::ParallelGcOutcome out{};
     for (int r = 0; r < opt.runs; ++r) {
       ChunkPool pool;
-      HeapArena arena(pool);
-      HeapRecord* heap = nullptr;
+      Heap heap(nullptr, 0, &pool);
       // Same seed for every repetition and team size: all rows evacuate
       // the identical graph, so best-of-runs time and the copy counts
       // describe the same work.
       std::vector<Object*> roots =
-          build_heap(arena, heap, heap_bytes, opt.sizes.seed);
-      core::ParallelCollector pc(pool, {heap},
+          build_heap(heap, heap_bytes, opt.sizes.seed);
+      core::ParallelCollector pc(pool, {&heap},
                                  core::ParallelGcOptions{team, 128});
       Timer timer;
       core::ParallelGcOutcome run_out = pc.collect([&roots](auto&& f) {
@@ -108,7 +105,6 @@ int main(int argc, char** argv) {
         best = seconds;
         out = std::move(run_out);
       }
-      heap->install_chunk_list(nullptr, nullptr, 0);
     }
     if (team == 1) {
       t1 = best;
@@ -117,7 +113,7 @@ int main(int argc, char** argv) {
                 t1 / best,
                 static_cast<double>(out.totals.bytes_copied) / 1048576.0,
                 static_cast<unsigned long long>(out.totals.objects_copied),
-                static_cast<unsigned long long>(out.claim_conflicts));
+                static_cast<unsigned long long>(out.totals.claim_conflicts));
     std::fflush(stdout);
   }
 

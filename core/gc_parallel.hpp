@@ -24,8 +24,9 @@
 // chased, never claimed.
 //
 // Two ways to drive it:
-//   - collect(), the standalone one-call surface for HeapRecord tests
-//     and benches; it spawns its own team threads.
+//   - collect(), the standalone one-call surface for tests and benches
+//     that build and collect plain Heaps; it spawns its own team
+//     threads.
 //   - collect_stopped() at the end of this file, the runtimes' one
 //     "collect on a stopped world" path: it recruits the parked
 //     mutators of a SafepointGate as the team (prepare()/run_worker()/
@@ -57,62 +58,6 @@
 
 namespace parmem {
 
-// A standalone heap handle for code that builds and collects heaps
-// outside any runtime Ctx (bench drivers, tests): raw allocation over
-// the chunk machinery plus wholesale chunk-list replacement.
-class HeapRecord {
- public:
-  HeapRecord(const HeapRecord&) = delete;
-  HeapRecord& operator=(const HeapRecord&) = delete;
-
-  // Reserve `bytes` (an object_bytes() footprint) by pointer bump; the
-  // caller places the object with init_object(). Single-owner: no
-  // locking, like a leaf heap.
-  void* allocate_raw(std::size_t bytes) { return heap_.bump_raw(bytes); }
-
-  // Replace this record's chunk list wholesale, releasing the current
-  // one to the pool. The new list must be fully retired (obj_end set,
-  // `tail` terminal); (nullptr, nullptr, 0) empties the record, e.g.
-  // between benchmark repetitions.
-  void install_chunk_list(Chunk* head, Chunk* tail,
-                          std::size_t allocated_bytes) {
-    heap_.release_all_chunks();
-    if (head != nullptr) {
-      heap_.adopt_chunks(head, tail, allocated_bytes);
-    }
-  }
-
-  Heap& heap() { return heap_; }
-  const Heap& heap() const { return heap_; }
-  std::size_t allocated_bytes() const { return heap_.allocated_bytes(); }
-
- private:
-  friend class HeapArena;
-  HeapRecord(Heap* parent, std::uint32_t depth, ChunkPool* pool)
-      : heap_(parent, depth, pool) {}
-
-  Heap heap_;
-};
-
-// Owns a family of HeapRecords over one ChunkPool; records live until
-// the arena dies (their chunks go back to the pool then).
-class HeapArena {
- public:
-  explicit HeapArena(ChunkPool& pool) : pool_(&pool) {}
-  HeapArena(const HeapArena&) = delete;
-  HeapArena& operator=(const HeapArena&) = delete;
-
-  HeapRecord* create(HeapRecord* parent, std::uint32_t depth) {
-    records_.push_back(std::unique_ptr<HeapRecord>(new HeapRecord(
-        parent != nullptr ? &parent->heap_ : nullptr, depth, pool_)));
-    return records_.back().get();
-  }
-
- private:
-  ChunkPool* pool_;
-  std::vector<std::unique_ptr<HeapRecord>> records_;
-};
-
 namespace core {
 
 struct ParallelGcOptions {
@@ -133,7 +78,6 @@ struct ParallelGcWorkerStats {
 struct ParallelGcOutcome {
   ParallelGcWorkerStats totals;                  // summed over the team
   std::vector<ParallelGcWorkerStats> per_worker;
-  std::uint64_t claim_conflicts = 0;  // == totals.claim_conflicts
 };
 
 class ParallelCollector {
@@ -153,10 +97,6 @@ class ParallelCollector {
       throw std::invalid_argument("ParallelCollector needs >= 1 heap");
     }
   }
-
-  ParallelCollector(ChunkPool& pool, const std::vector<HeapRecord*>& records,
-                    ParallelGcOptions opts)
-      : ParallelCollector(pool, heaps_of(records), opts) {}
 
   ParallelCollector(const ParallelCollector&) = delete;
   ParallelCollector& operator=(const ParallelCollector&) = delete;
@@ -377,7 +317,6 @@ class ParallelCollector {
       out.totals.claim_conflicts += w->stats.claim_conflicts;
       out.totals.cpu_ns += w->stats.cpu_ns;
     }
-    out.claim_conflicts = out.totals.claim_conflicts;
     for (Heap* h : heaps_) {
       // Every survivor now sits in the target.
       h->note_collected(h == target ? out.totals.bytes_copied : 0);
@@ -418,15 +357,6 @@ class ParallelCollector {
     ChaseLevDeque<Packet> deque{32};
     ParallelGcWorkerStats stats;
   };
-
-  static std::vector<Heap*> heaps_of(const std::vector<HeapRecord*>& rs) {
-    std::vector<Heap*> hs;
-    hs.reserve(rs.size());
-    for (HeapRecord* r : rs) {
-      hs.push_back(&r->heap());
-    }
-    return hs;
-  }
 
   bool collected(const Heap* h) const {
     for (const Heap* x : heaps_) {

@@ -180,13 +180,13 @@ static_assert(sizeof(std::atomic<Object*>) == sizeof(Object*) &&
               "fwd_slot() aliases the atomic forwarding word as Object*");
 
 // Footprint of an object with `nptr` pointer and `nscalar` i64 fields
-// -- what raw allocators (HeapRecord::allocate_raw) must reserve.
+// -- what raw allocators (Heap::bump_raw) must reserve.
 inline constexpr std::size_t object_bytes(std::uint32_t nptr,
                                           std::uint32_t nscalar) {
   return Object::size_bytes(nptr, nscalar);
 }
 
-// Place an object header over raw heap memory (allocate_raw result)
+// Place an object header over raw heap memory (bump_raw result)
 // and zero its fields.
 inline Object* init_object(void* mem, std::uint32_t nptr,
                            std::uint32_t nscalar) {

@@ -177,20 +177,22 @@ class PathLockGuard {
 
 }  // namespace detail
 
-// Promote the closure of `v` into heap_of(dst_obj) and then perform
-// the entangling store dst_obj.ptr[idx] = v, all under the protocol
-// selected by `mode`. `leaf` is the writing task's leaf heap.
-inline void promote_and_store(Object* dst_obj, std::uint32_t idx, Object* v,
-                              Heap* leaf, PromotionMode mode,
-                              StatsCell* stats) {
+// The one promotion envelope, shared by promote_and_store and the
+// localheap runtime's promote_to_global: `copy_and_store()` copies a
+// closure up (and stores it, if the caller stores) and returns its
+// PromoteResult; everything around it is here. A promotion counts in
+// Stats::promotions when it copied at least one object. `pool` is the
+// pool whose occupancy an injected promote_copy fault reports.
+template <class CopyAndStore>
+detail::PromoteResult run_promotion(ChunkPool* pool, StatsCell* stats,
+                                    CopyAndStore&& copy_and_store) {
   // The injected promote_copy fault fires HERE, before any mutation:
   // nothing is claimed or copied yet, so the throw unwinds cleanly to
-  // the store that asked for the promotion.
+  // the store or escape that asked for the promotion.
   // (gc_exempt first: an exempt caller must not consume a scheduled hit.)
   if (__builtin_expect(!failpoint::gc_exempt() &&
                            failpoint::triggered(failpoint::Site::kPromoteCopy),
                        0)) {
-    ChunkPool* pool = leaf->pool();
     throw OutOfMemory("promote_copy", 0, pool->live_bytes(), pool->budget(),
                       pool->peak_bytes());
   }
@@ -208,37 +210,54 @@ inline void promote_and_store(Object* dst_obj, std::uint32_t idx, Object* v,
   // reads are skipped unless trace rings are on.
   const bool traced = trace::ring_enabled();
   const std::uint64_t trace_t0 = traced ? trace::now_ns() : 0;
-  stats->promotions.fetch_add(1, std::memory_order_relaxed);
-  detail::PromoteResult res{nullptr};
-  if (mode == PromotionMode::kCoarseLocking) {
-    // The destination object may itself be mid-promotion by a cousin;
-    // re-chase under the locks and restart if it moved above our lock
-    // span.
-    for (;;) {
-      Heap* dst_heap = heap_of(dst_obj = Object::chase(dst_obj));
-      detail::PathLockGuard guard(leaf, dst_heap);
-      Object* d = Object::chase(dst_obj);
-      if (heap_of(d) != dst_heap) {
-        continue;  // moved while we were acquiring; retry at new depth
-      }
-      res = detail::promote_coarse_locked(v, dst_heap);
-      d->set_ptr(idx, res.master);
-      // Feed the internal-collection policy: this heap just grew by
-      // remotely promoted bytes its owner never allocated.
-      dst_heap->note_remote_bytes(res.bytes);
-      break;
-    }
-  } else {
-    Heap* dst_heap = heap_of(Object::chase(dst_obj));
-    res = detail::promote_fine(v, dst_heap, stats);
-    Object::chase(dst_obj)->set_ptr(idx, res.master);
-    dst_heap->note_remote_bytes(res.bytes);
+  const detail::PromoteResult res = copy_and_store();
+  if (res.objects != 0) {
+    stats->promotions.fetch_add(1, std::memory_order_relaxed);
+    stats->promoted_objects.fetch_add(res.objects, std::memory_order_relaxed);
+    stats->promoted_bytes.fetch_add(res.bytes, std::memory_order_relaxed);
   }
-  stats->promoted_objects.fetch_add(res.objects, std::memory_order_relaxed);
-  stats->promoted_bytes.fetch_add(res.bytes, std::memory_order_relaxed);
   if (traced) {
     trace::record_promotion(trace_t0, trace::now_ns() - trace_t0, res.bytes);
   }
+  return res;
+}
+
+// Promote the closure of `v` into heap_of(dst_obj) and then perform
+// the entangling store dst_obj.ptr[idx] = v, all under the protocol
+// selected by `mode`. `leaf` is the writing task's leaf heap. Kept out
+// of line: inlined into the write barrier's slow path, it would push
+// the barrier itself out of its callers' loops.
+__attribute__((noinline)) inline void promote_and_store(
+    Object* dst_obj, std::uint32_t idx, Object* v, Heap* leaf,
+    PromotionMode mode, StatsCell* stats) {
+  run_promotion(leaf->pool(), stats, [&] {
+    detail::PromoteResult res{nullptr};
+    if (mode == PromotionMode::kCoarseLocking) {
+      // The destination object may itself be mid-promotion by a cousin;
+      // re-chase under the locks and restart if it moved above our lock
+      // span.
+      for (;;) {
+        Heap* dst_heap = heap_of(dst_obj = Object::chase(dst_obj));
+        detail::PathLockGuard guard(leaf, dst_heap);
+        Object* d = Object::chase(dst_obj);
+        if (heap_of(d) != dst_heap) {
+          continue;  // moved while we were acquiring; retry at new depth
+        }
+        res = detail::promote_coarse_locked(v, dst_heap);
+        d->set_ptr(idx, res.master);
+        // Feed the internal-collection policy: this heap just grew by
+        // remotely promoted bytes its owner never allocated.
+        dst_heap->note_remote_bytes(res.bytes);
+        break;
+      }
+    } else {
+      Heap* dst_heap = heap_of(Object::chase(dst_obj));
+      res = detail::promote_fine(v, dst_heap, stats);
+      Object::chase(dst_obj)->set_ptr(idx, res.master);
+      dst_heap->note_remote_bytes(res.bytes);
+    }
+    return res;
+  });
 }
 
 }  // namespace parmem

@@ -19,86 +19,72 @@ enum class PromotionMode {
   kFineGrained,    // CAS-claim per object + spinlocked remote bump (Sec 5)
 };
 
-// Snapshot of runtime counters. Monotonic over the life of a runtime;
-// bench_common::measure() diffs two snapshots around a run.
+// The counter table: one X(name) per counter, with its one definition.
+// Stats and StatsCell, their arithmetic and the "counters" object of the
+// stats JSON line (core/stats_json.hpp) are all generated from it, in
+// this order. Every counter is monotonic over the life of a runtime.
+// (Block comments only: a line comment would swallow the continuation.)
+#define PARMEM_STATS_COUNTERS(X)                                             \
+  /* Promotions that copied at least one object: entangling writes in        \
+     hier, escapes (fork2 roots, publish, escaping writes) in localheap.     \
+     Billed only by run_promotion (core/promote.hpp). */                     \
+  X(promotions)                                                              \
+  /* Objects copied up by them. */                                           \
+  X(promoted_objects)                                                        \
+  /* Bytes copied up by them. */                                             \
+  X(promoted_bytes)                                                          \
+  /* Lost fine-grained claim CASes (core/promote.hpp). */                    \
+  X(promo_claim_conflicts)                                                   \
+  /* Collections of every kind: leaf, join, internal, global, stopped-       \
+     world, emergency rungs. Each records exactly one GC pause. */           \
+  X(gc_count)                                                                \
+  /* Live bytes those collections evacuated. */                              \
+  X(gc_bytes_copied)                                                         \
+  /* Leaf collections that kept their heap in place instead of               \
+     evacuating it (core/gc_leaf.hpp collect_due): budget-triggered          \
+     ones that found it mostly live, and every other GC-stress one.          \
+     Also counted as collections, with their CPU time; they copy             \
+     nothing. */                                                             \
+  X(gc_kept)                                                                 \
+  /* CPU time the collecting threads spent in collections                    \
+     (thread_cpu_ns): the sequential collector's own thread, or every        \
+     member of an evacuation team. Billed only by the leaf collector         \
+     (core/gc_leaf.hpp) and collect_stopped. */                              \
+  X(gc_ns)                                                                   \
+  /* Wall time the world stood stopped: for each won stop, from every        \
+     other running task parked to the release (StopGuard). Zero for a        \
+     runtime that never stops the world. */                                  \
+  X(gc_pause_ns)                                                             \
+  /* fork2 calls. */                                                         \
+  X(forks)                                                                   \
+  /* Hierarchy-aware internal-heap collections (core/gc_internal.hpp),       \
+     billed to the runtime that owns the collected heap. Also counted        \
+     among the collections above; this pair isolates them. */                \
+  X(internal_gc_count)                                                       \
+  /* Live bytes evacuated by internal collections. */                        \
+  X(internal_gc_bytes)                                                       \
+  /* Global-heap collections (the localheap runtime's stopped-world          \
+     depth-0 collection). Also counted among the collections above;          \
+     this pair isolates them. */                                             \
+  X(global_gc_count)                                                         \
+  /* Live bytes evacuated from the global heap. */                           \
+  X(global_gc_bytes)                                                         \
+  /* Emergency cascades: an allocation hit the hard heap budget (or an       \
+     injected chunk_alloc fault) and the runtime collected everything        \
+     it could before retrying. Billed only by                                \
+     RuntimeShell::emergency_collect; a nonzero value means the              \
+     computation ran degraded. */                                            \
+  X(emergency_gcs)
+
+// Snapshot of runtime counters; bench_common::measure() diffs two
+// snapshots around a run.
 struct Stats {
-  std::uint64_t promotions = 0;        // entangling writes that promoted
-  std::uint64_t promoted_objects = 0;  // objects copied up by promotion
-  std::uint64_t promoted_bytes = 0;    // bytes copied up by promotion
-  std::uint64_t promo_claim_conflicts = 0;  // lost fine-grained CAS claims
-  std::uint64_t gc_count = 0;          // collections (leaf or stop-the-world)
-  std::uint64_t gc_bytes_copied = 0;   // live bytes evacuated by GC
-  // Leaf collections that kept their heap in place instead of
-  // evacuating it (core/gc_leaf.hpp collect_due): budget-triggered ones
-  // that found it mostly live, and every other GC-stress one. Also
-  // counted in gc_count and gc_ns; they add nothing to gc_bytes_copied.
-  std::uint64_t gc_kept = 0;
-  // CPU time the collecting threads spent in collections
-  // (thread_cpu_ns): the sequential collector's own thread, or every
-  // member of an evacuation team. Billed only by the leaf collector
-  // (core/gc_leaf.hpp) and collect_stopped, so it means the same in
-  // every runtime.
-  std::uint64_t gc_ns = 0;
-  // Wall time the world stood stopped: for each won stop, from every
-  // other running task parked to the release (StopGuard). Zero for a
-  // runtime that never stops the world.
-  std::uint64_t gc_pause_ns = 0;
-  std::uint64_t forks = 0;             // fork2 calls
-  // Hierarchy-aware internal-heap collections (core/gc_internal.hpp).
-  // These are billed to the runtime that owns the collected heap and are
-  // ALSO counted in gc_count / gc_bytes_copied / gc_ns above (an internal
-  // collection is a collection); the internal_* pair isolates them.
-  std::uint64_t internal_gc_count = 0;
-  std::uint64_t internal_gc_bytes = 0;  // live bytes evacuated internally
-  // Global-heap collections (the localheap runtime's stopped-world
-  // depth-0 collection). Also counted in gc_count / gc_bytes_copied /
-  // gc_ns; the global_* pair isolates them.
-  std::uint64_t global_gc_count = 0;
-  std::uint64_t global_gc_bytes = 0;  // live bytes evacuated from global
-  // Emergency collections: cascades run because an allocation hit the
-  // hard heap budget (or an injected chunk_alloc fault) and the runtime
-  // collected everything it could before retrying. Also counted in
-  // gc_count; a nonzero value means the computation ran degraded.
-  std::uint64_t emergency_gcs = 0;
+#define PARMEM_STATS_FIELD(name) std::uint64_t name = 0;
+  PARMEM_STATS_COUNTERS(PARMEM_STATS_FIELD)
+#undef PARMEM_STATS_FIELD
 
-  Stats& operator+=(const Stats& o) {
-    promotions += o.promotions;
-    promoted_objects += o.promoted_objects;
-    promoted_bytes += o.promoted_bytes;
-    promo_claim_conflicts += o.promo_claim_conflicts;
-    gc_count += o.gc_count;
-    gc_bytes_copied += o.gc_bytes_copied;
-    gc_kept += o.gc_kept;
-    gc_ns += o.gc_ns;
-    gc_pause_ns += o.gc_pause_ns;
-    forks += o.forks;
-    internal_gc_count += o.internal_gc_count;
-    internal_gc_bytes += o.internal_gc_bytes;
-    global_gc_count += o.global_gc_count;
-    global_gc_bytes += o.global_gc_bytes;
-    emergency_gcs += o.emergency_gcs;
-    return *this;
-  }
-
-  Stats operator-(const Stats& o) const {
-    Stats d;
-    d.promotions = promotions - o.promotions;
-    d.promoted_objects = promoted_objects - o.promoted_objects;
-    d.promoted_bytes = promoted_bytes - o.promoted_bytes;
-    d.promo_claim_conflicts = promo_claim_conflicts - o.promo_claim_conflicts;
-    d.gc_count = gc_count - o.gc_count;
-    d.gc_bytes_copied = gc_bytes_copied - o.gc_bytes_copied;
-    d.gc_kept = gc_kept - o.gc_kept;
-    d.gc_ns = gc_ns - o.gc_ns;
-    d.gc_pause_ns = gc_pause_ns - o.gc_pause_ns;
-    d.forks = forks - o.forks;
-    d.internal_gc_count = internal_gc_count - o.internal_gc_count;
-    d.internal_gc_bytes = internal_gc_bytes - o.internal_gc_bytes;
-    d.global_gc_count = global_gc_count - o.global_gc_count;
-    d.global_gc_bytes = global_gc_bytes - o.global_gc_bytes;
-    d.emergency_gcs = emergency_gcs - o.emergency_gcs;
-    return d;
-  }
+  Stats& operator+=(const Stats& o);
+  Stats operator-(const Stats& o) const;
 };
 
 // Point-in-time view of a runtime's counters plus its memory
@@ -123,45 +109,47 @@ struct StatsSnapshot {
 
 // Shared mutable counter block; one per runtime instance.
 struct StatsCell {
-  std::atomic<std::uint64_t> promotions{0};
-  std::atomic<std::uint64_t> promoted_objects{0};
-  std::atomic<std::uint64_t> promoted_bytes{0};
-  std::atomic<std::uint64_t> promo_claim_conflicts{0};
-  std::atomic<std::uint64_t> gc_count{0};
-  std::atomic<std::uint64_t> gc_bytes_copied{0};
-  std::atomic<std::uint64_t> gc_kept{0};
-  std::atomic<std::uint64_t> gc_ns{0};
-  std::atomic<std::uint64_t> gc_pause_ns{0};
-  std::atomic<std::uint64_t> forks{0};
-  std::atomic<std::uint64_t> internal_gc_count{0};
-  std::atomic<std::uint64_t> internal_gc_bytes{0};
-  std::atomic<std::uint64_t> global_gc_count{0};
-  std::atomic<std::uint64_t> global_gc_bytes{0};
-  std::atomic<std::uint64_t> emergency_gcs{0};
+#define PARMEM_STATS_FIELD(name) std::atomic<std::uint64_t> name{0};
+  PARMEM_STATS_COUNTERS(PARMEM_STATS_FIELD)
+#undef PARMEM_STATS_FIELD
 
-  Stats snapshot() const {
-    Stats s;
-    s.promotions = promotions.load(std::memory_order_relaxed);
-    s.promoted_objects = promoted_objects.load(std::memory_order_relaxed);
-    s.promoted_bytes = promoted_bytes.load(std::memory_order_relaxed);
-    s.promo_claim_conflicts =
-        promo_claim_conflicts.load(std::memory_order_relaxed);
-    s.gc_count = gc_count.load(std::memory_order_relaxed);
-    s.gc_bytes_copied = gc_bytes_copied.load(std::memory_order_relaxed);
-    s.gc_kept = gc_kept.load(std::memory_order_relaxed);
-    s.gc_ns = gc_ns.load(std::memory_order_relaxed);
-    s.gc_pause_ns = gc_pause_ns.load(std::memory_order_relaxed);
-    s.forks = forks.load(std::memory_order_relaxed);
-    s.internal_gc_count = internal_gc_count.load(std::memory_order_relaxed);
-    s.internal_gc_bytes = internal_gc_bytes.load(std::memory_order_relaxed);
-    s.global_gc_count = global_gc_count.load(std::memory_order_relaxed);
-    s.global_gc_bytes = global_gc_bytes.load(std::memory_order_relaxed);
-    s.emergency_gcs = emergency_gcs.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats snapshot() const;
 };
 
-// CPU time consumed by the calling thread, the clock gc_ns is billed in.
+// Calls f(key, &Stats::field, &StatsCell::field) for every counter, in
+// table order; the key is the field's name.
+template <class F>
+void for_each_counter(F&& f) {
+#define PARMEM_STATS_VISIT(name) f(#name, &Stats::name, &StatsCell::name);
+  PARMEM_STATS_COUNTERS(PARMEM_STATS_VISIT)
+#undef PARMEM_STATS_VISIT
+}
+
+inline Stats& Stats::operator+=(const Stats& o) {
+  for_each_counter([&](const char*, auto field, auto) {
+    this->*field += o.*field;
+  });
+  return *this;
+}
+
+inline Stats Stats::operator-(const Stats& o) const {
+  Stats d;
+  for_each_counter([&](const char*, auto field, auto) {
+    d.*field = this->*field - o.*field;
+  });
+  return d;
+}
+
+inline Stats StatsCell::snapshot() const {
+  Stats s;
+  for_each_counter([&](const char*, auto field, auto cell) {
+    s.*field = (this->*cell).load(std::memory_order_relaxed);
+  });
+  return s;
+}
+
+// CPU time consumed by the calling thread, the clock collector CPU
+// time is billed in.
 inline std::uint64_t thread_cpu_ns() {
   timespec ts;
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -183,7 +171,7 @@ inline unsigned thread_shard_id() {
 
 // Per-worker sharded counter block: each shard is a full StatsCell on
 // its own cache line(s), so workers bumping counters on hot slow paths
-// (forks, promotions, chunk traffic) never bounce a shared line.
+// (fork2, promotion, chunk traffic) never bounce a shared line.
 // Aggregated on read -- snapshot() sums every shard, which is exact
 // because each counter is monotonic and relaxed adds commute. Code
 // that hands a counter block to a collector still passes a plain

@@ -61,36 +61,17 @@ inline bool write(const std::string& path, const char* runtime,
                  path.c_str());
     return false;
   }
-  const Stats& s = snap.stats;
-  std::fprintf(
-      f,
-      "{\"runtime\":\"%s\",\"config\":%s,"
-      "\"counters\":{"
-      "\"promotions\":%llu,\"promoted_objects\":%llu,"
-      "\"promoted_bytes\":%llu,\"promo_claim_conflicts\":%llu,"
-      "\"gc_count\":%llu,\"gc_bytes_copied\":%llu,\"gc_kept\":%llu,"
-      "\"gc_ns\":%llu,"
-      "\"gc_pause_ns\":%llu,\"forks\":%llu,\"internal_gc_count\":%llu,"
-      "\"internal_gc_bytes\":%llu,\"global_gc_count\":%llu,"
-      "\"global_gc_bytes\":%llu,\"emergency_gcs\":%llu},"
-      "\"memory\":{\"live_bytes\":%llu,\"peak_bytes\":%llu},",
-      runtime, config.c_str(), static_cast<unsigned long long>(s.promotions),
-      static_cast<unsigned long long>(s.promoted_objects),
-      static_cast<unsigned long long>(s.promoted_bytes),
-      static_cast<unsigned long long>(s.promo_claim_conflicts),
-      static_cast<unsigned long long>(s.gc_count),
-      static_cast<unsigned long long>(s.gc_bytes_copied),
-      static_cast<unsigned long long>(s.gc_kept),
-      static_cast<unsigned long long>(s.gc_ns),
-      static_cast<unsigned long long>(s.gc_pause_ns),
-      static_cast<unsigned long long>(s.forks),
-      static_cast<unsigned long long>(s.internal_gc_count),
-      static_cast<unsigned long long>(s.internal_gc_bytes),
-      static_cast<unsigned long long>(s.global_gc_count),
-      static_cast<unsigned long long>(s.global_gc_bytes),
-      static_cast<unsigned long long>(s.emergency_gcs),
-      static_cast<unsigned long long>(snap.live_bytes),
-      static_cast<unsigned long long>(snap.peak_bytes));
+  std::fprintf(f, "{\"runtime\":\"%s\",\"config\":%s,\"counters\":{", runtime,
+               config.c_str());
+  const char* sep = "";
+  for_each_counter([&](const char* key, auto field, auto) {
+    std::fprintf(f, "%s\"%s\":%llu", sep, key,
+                 static_cast<unsigned long long>(snap.stats.*field));
+    sep = ",";
+  });
+  std::fprintf(f, "},\"memory\":{\"live_bytes\":%llu,\"peak_bytes\":%llu},",
+               static_cast<unsigned long long>(snap.live_bytes),
+               static_cast<unsigned long long>(snap.peak_bytes));
   const trace::Snapshot tr = trace::snapshot();
   std::fprintf(f, "\"pauses\":{");
   for (unsigned k = 0; k < trace::kKinds; ++k) {

@@ -51,7 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/failpoint.hpp"
 #include "core/gc_internal.hpp"
 #include "core/gc_leaf.hpp"
 #include "core/gc_parallel.hpp"
@@ -62,7 +61,6 @@
 #include "core/roots.hpp"
 #include "core/sched.hpp"
 #include "core/stats.hpp"
-#include "core/trace.hpp"
 #include "runtimes/runtime_api.hpp"
 
 namespace parmem {
@@ -381,46 +379,26 @@ class LhRuntime : public rtapi::RuntimeShell<LhOptions> {
   }
 
  private:
-  Object* promote_to_global(Object* v) {
-    // Same fault discipline as promote_and_store (this path bypasses
-    // it): the injected promote fault fires before any mutation, and
-    // the copy loop itself is a non-unwindable window -- once the
-    // first set_fwd publishes, abandoning the closure would leave
-    // global objects with un-lifted local fields.
-    if (__builtin_expect(
-            !failpoint::gc_exempt() &&
-                failpoint::triggered(failpoint::Site::kPromoteCopy),
-            0)) {
-      throw OutOfMemory("promote_copy", 0, chunks_.live_bytes(),
-                        chunks_.budget(), chunks_.peak_bytes());
-    }
-    failpoint::GcAllocScope copy_scope;
-    phase::PhaseScope promo_scope(phase::Phase::kPromotion);
-    const bool traced = trace::ring_enabled();
-    const std::uint64_t trace_t0 = traced ? trace::now_ns() : 0;
-    detail::PromoteResult res;
-    {
-      std::lock_guard<std::mutex> g(global_.path_lock());
-      res = detail::promote_coarse_locked(v, &global_);
-    }
-    if (res.objects != 0) {
-      stats_.local().promotions.fetch_add(1, std::memory_order_relaxed);
-      stats_.local().promoted_objects.fetch_add(res.objects,
-                                        std::memory_order_relaxed);
-      stats_.local().promoted_bytes.fetch_add(res.bytes, std::memory_order_relaxed);
-      // Promoted-since-last-collect accounting drives the global-GC
-      // doorbell (the promoter may hold raw pointers, so only ring the
-      // bell here -- the next safepoint anyone reaches collects).
-      global_.note_remote_bytes(res.bytes);
-      if (__builtin_expect(bell_.enabled(), 0)) {
-        bell_.ring_if(global_.remote_bytes());
+  // Kept out of line, like promote_and_store: the write barrier's
+  // inlined fast path must not carry the promotion's frame.
+  __attribute__((noinline)) Object* promote_to_global(Object* v) {
+    return run_promotion(&chunks_, &stats_.local(), [this, v] {
+      detail::PromoteResult res;
+      {
+        std::lock_guard<std::mutex> g(global_.path_lock());
+        res = detail::promote_coarse_locked(v, &global_);
       }
-    }
-    if (traced) {
-      trace::record_promotion(trace_t0, trace::now_ns() - trace_t0,
-                              res.bytes);
-    }
-    return res.master;
+      if (res.objects != 0) {
+        // Promoted-since-last-collect accounting drives the global-GC
+        // doorbell (the promoter may hold raw pointers, so only ring
+        // the bell here -- the next safepoint anyone reaches collects).
+        global_.note_remote_bytes(res.bytes);
+        if (__builtin_expect(bell_.enabled(), 0)) {
+          bell_.ring_if(global_.remote_bytes());
+        }
+      }
+      return res;
+    }).master;
   }
 
   // fork2's gated slow paths, kept out of line so the disabled-default

@@ -323,7 +323,10 @@ class RuntimeShell {
   // own leaf heap (no coordination needed), then `stop`, the runtime's
   // stopped-world rung (a no-op with its safepoint machinery off). The
   // caller retries the allocation once; a second failure is the
-  // program's real OOM.
+  // program's real OOM. Every runtime's cascade runs through here, so
+  // each one bills emergency_gcs and records one emergency_cascade
+  // event: seq has no stop rung, and stw no leaf rung (its heap is
+  // shared, so its one rung is a stopped-world collection).
   template <class CollectLeaf, class Stop>
   void emergency_collect(CollectLeaf&& collect_leaf, Stop&& stop) {
     const std::uint64_t trace_t0 = trace::now_ns();
@@ -362,8 +365,9 @@ class RuntimeShell {
 
   // The configuration a stats line records, one flat JSON object:
   // resolved workers, heap budget, gc_min_budget, gc_growth_factor,
-  // gc_stress (false where the runtime has no stress mode), and each
-  // collection threshold the runtime has.
+  // gc_stress (false where the runtime has no stress mode), each
+  // collection threshold the runtime has, and hier's evacuation team
+  // size and promotion protocol ("coarse" or "fine").
   std::string config_json() const {
     bool stress = false;
     if constexpr (requires { opts_.gc_stress; }) {
@@ -388,6 +392,14 @@ class RuntimeShell {
     }
     if constexpr (requires { opts_.gc_global_threshold; }) {
       field("gc_global_threshold", opts_.gc_global_threshold);
+    }
+    if constexpr (requires { opts_.gc_parallel_team; }) {
+      field("gc_parallel_team", opts_.gc_parallel_team);
+    }
+    if constexpr (requires { opts_.promotion; }) {
+      out += opts_.promotion == PromotionMode::kCoarseLocking
+                 ? ",\"promotion\":\"coarse\""
+                 : ",\"promotion\":\"fine\"";
     }
     return out + "}";
   }

@@ -116,10 +116,9 @@ class SeqRuntime : public rtapi::RuntimeShell<SeqOptions> {
         o = heap_->bump_alloc(nptr, nscalar);
       } catch (const OutOfMemory&) {
         // Budget hit (or injected chunk fault): emergency-collect the
-        // one heap there is, then retry exactly once. A second failure
-        // is the program's real OOM and propagates.
-        collect_now();
-        rt_->stats_.local().emergency_gcs.fetch_add(1, std::memory_order_relaxed);
+        // one heap there is (no world to stop), then retry exactly
+        // once. A second failure is the program's real OOM.
+        rt_->emergency_collect([this] { collect_now(); }, [] {});
         o = heap_->bump_alloc(nptr, nscalar);
       }
       o->zero_fields();

@@ -133,13 +133,13 @@ class StwRuntime : public rtapi::RuntimeShell<StwOptions> {
       try {
         o = heap_->bump_alloc(nptr, nscalar);
       } catch (const OutOfMemory&) {
-        // Budget hit (or injected chunk fault): force a full
-        // stop-the-world collection -- the biggest hammer this flat
-        // heap has -- and retry exactly once. A failure of the
+        // Budget hit (or injected chunk fault): no heap is private to
+        // a task, so the cascade's only rung is a full stop-the-world
+        // collection; then retry exactly once. A failure of the
         // collection itself propagates from collect() instead of
         // looping back here.
-        rt_->collect(this, /*force=*/true);
-        rt_->stats_.local().emergency_gcs.fetch_add(1, std::memory_order_relaxed);
+        rt_->emergency_collect(
+            [] {}, [this] { rt_->collect(this, /*force=*/true); });
         o = heap_->bump_alloc(nptr, nscalar);
       }
       o->zero_fields();

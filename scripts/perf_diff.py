@@ -15,6 +15,10 @@ format (auto-detected per file):
     both carry a "config" object must carry the same one: runs of
     different configurations are not compared (exit 2). Recordings
     from before the config was exported still compare.
+  * the figure drivers' per-runtime JSON (BENCH_runtimes.json, written
+    by scripts/run_bench.sh): rows runtime/bench/P<procs>/seconds and
+    .../peak_bytes. Two matched rows must carry the same checksum: a
+    run that computed a different answer is not compared (exit 2).
 
 A row REGRESSES when current > baseline * (1 + threshold) and the
 absolute growth also exceeds --abs-floor (so sub-nanosecond noise on
@@ -33,10 +37,19 @@ import statistics
 import sys
 
 
+# What two matched records' identities are, per format: records whose
+# identities differ are not compared.
+IDENTITY = {
+    "stats-jsonl": "config",
+    "runtimes-json": "checksum",
+}
+
+
 def load_records(path):
-    """Parse either format into ({row_name: numeric value}, format,
-    {record tag: config object}); the last is empty for benchmark
-    JSON and for stats records without a config."""
+    """Parse any format into ({row_name: numeric value}, format,
+    {record tag: identity}); the identity is a stats record's config
+    object or a runtimes row's checksum, and the map is empty for
+    benchmark JSON and for stats records without a config."""
     with open(path) as f:
         text = f.read()
     try:
@@ -45,6 +58,9 @@ def load_records(path):
         doc = None
     if isinstance(doc, dict) and "benchmarks" in doc:
         return bench_rows(doc), "google-benchmark", {}
+    if isinstance(doc, dict) and "runtimes" in doc:
+        rows, checksums = runtimes_rows(doc)
+        return rows, "runtimes-json", checksums
     # JSON-lines of per-runtime stats objects.
     rows = {}
     seen = {}
@@ -82,6 +98,18 @@ def bench_rows(doc):
     return rows
 
 
+def runtimes_rows(doc):
+    rows = {}
+    checksums = {}
+    for rt, records in doc["runtimes"].items():
+        for r in records:
+            tag = f"{rt}/{r['name']}/P{r['procs']}"
+            checksums[tag] = r["checksum"]
+            rows[f"{tag}/seconds"] = float(r["seconds"])
+            rows[f"{tag}/peak_bytes"] = float(r["peak_bytes"])
+    return rows, checksums
+
+
 def stats_metrics(rec):
     yield "counters.gc_ns", float(rec["counters"]["gc_ns"])
     if "gc_pause_ns" in rec["counters"]:  # absent from older recordings
@@ -106,8 +134,8 @@ def main():
     args = ap.parse_args()
 
     try:
-        base, base_fmt, base_cfg = load_records(args.baseline)
-        cur, cur_fmt, cur_cfg = load_records(args.current)
+        base, base_fmt, base_id = load_records(args.baseline)
+        cur, cur_fmt, cur_id = load_records(args.current)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"perf_diff: {e}", file=sys.stderr)
         return 2
@@ -115,12 +143,13 @@ def main():
         print(f"perf_diff: format mismatch ({base_fmt} vs {cur_fmt})",
               file=sys.stderr)
         return 2
-    differ = sorted(t for t in base_cfg
-                    if t in cur_cfg and base_cfg[t] != cur_cfg[t])
+    differ = sorted(t for t in base_id
+                    if t in cur_id and base_id[t] != cur_id[t])
     for tag in differ:
-        print(f"perf_diff: {tag} ran with a different config: "
-              f"{json.dumps(base_cfg[tag], sort_keys=True)} vs "
-              f"{json.dumps(cur_cfg[tag], sort_keys=True)}", file=sys.stderr)
+        print(f"perf_diff: {tag} ran with a different "
+              f"{IDENTITY[base_fmt]}: "
+              f"{json.dumps(base_id[tag], sort_keys=True)} vs "
+              f"{json.dumps(cur_id[tag], sort_keys=True)}", file=sys.stderr)
     if differ:
         return 2
 

@@ -7,6 +7,7 @@
 // join-time collections keep kernel checksums identical to the
 // sequential runtime.
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -27,21 +28,21 @@ using namespace parmem;
 // object every k-th object points at (heavy sharing -- the claim
 // contention hot spot), and interleaved garbage. Returns root slots.
 struct BuiltGraph {
-  HeapRecord* heap = nullptr;
+  std::unique_ptr<Heap> heap;
   std::vector<Object*> roots;
   Object* hub = nullptr;
 };
 
-BuiltGraph build_graph(HeapArena& arena, std::size_t objects,
+BuiltGraph build_graph(ChunkPool& pool, std::size_t objects,
                        std::uint64_t seed) {
   BuiltGraph g;
-  g.heap = arena.create(nullptr, 0);
+  g.heap = std::make_unique<Heap>(nullptr, 0, &pool);
   std::uint64_t s = seed;
   auto rnd = [&s](std::uint64_t mod) {
     s = data::hash64(s, mod + 1);
     return s % mod;
   };
-  g.hub = init_object(g.heap->allocate_raw(object_bytes(0, 4)), 0, 4);
+  g.hub = init_object(g.heap->bump_raw(object_bytes(0, 4)), 0, 4);
   for (std::uint32_t k = 0; k < 4; ++k) {
     g.hub->store_i64_plain(k, static_cast<std::int64_t>(rnd(1u << 20)));
   }
@@ -50,7 +51,7 @@ BuiltGraph build_graph(HeapArena& arena, std::size_t objects,
   for (std::size_t i = 1; i < objects; ++i) {
     const auto np = static_cast<std::uint32_t>(1 + rnd(3));
     const auto nn = static_cast<std::uint32_t>(1 + rnd(6));
-    Object* o = init_object(g.heap->allocate_raw(object_bytes(np, nn)),
+    Object* o = init_object(g.heap->bump_raw(object_bytes(np, nn)),
                             np, nn);
     for (std::uint32_t k = 0; k < nn; ++k) {
       o->store_i64_plain(k, static_cast<std::int64_t>(rnd(1u << 20)));
@@ -116,7 +117,7 @@ std::uint64_t graph_checksum(const std::vector<Object*>& roots) {
 
 core::ParallelGcOutcome collect_graph(BuiltGraph& g, ChunkPool& pool,
                                       unsigned team) {
-  core::ParallelCollector pc(pool, {g.heap},
+  core::ParallelCollector pc(pool, {g.heap.get()},
                              core::ParallelGcOptions{team, 32});
   return pc.collect([&g](auto&& fn) {
     for (Object*& r : g.roots) {
@@ -151,8 +152,7 @@ Object* find_hub(const std::vector<Object*>& roots) {
 
 PARMEM_TEST(parallel_gc_preserves_graph_and_sharing) {
   ChunkPool pool;
-  HeapArena arena(pool);
-  BuiltGraph g = build_graph(arena, 20000, 7);
+  BuiltGraph g = build_graph(pool, 20000, 7);
   const std::uint64_t before = graph_checksum(g.roots);
   const std::size_t allocated = g.heap->allocated_bytes();
   CHECK(find_hub(g.roots) == g.hub);
@@ -167,13 +167,15 @@ PARMEM_TEST(parallel_gc_preserves_graph_and_sharing) {
   // Garbage died: the evacuated bytes are well under the allocation.
   CHECK(out.totals.bytes_copied > 0);
   CHECK(out.totals.bytes_copied < allocated);
-  CHECK_EQ(out.claim_conflicts, out.totals.claim_conflicts);
   // Per-worker rows sum to the totals.
   std::uint64_t sum = 0;
+  std::uint64_t conflicts = 0;
   for (const auto& w : out.per_worker) {
     sum += w.objects_copied;
+    conflicts += w.claim_conflicts;
   }
   CHECK_EQ(sum, out.totals.objects_copied);
+  CHECK_EQ(conflicts, out.totals.claim_conflicts);
 }
 
 PARMEM_TEST(parallel_gc_team_sizes_equivalent) {
@@ -181,15 +183,13 @@ PARMEM_TEST(parallel_gc_team_sizes_equivalent) {
   core::ParallelGcOutcome out1;
   {
     ChunkPool pool;
-    HeapArena arena(pool);
-    BuiltGraph g = build_graph(arena, 20000, 21);
+    BuiltGraph g = build_graph(pool, 20000, 21);
     out1 = collect_graph(g, pool, 1);
     checksum1 = graph_checksum(g.roots);
   }
   for (unsigned team : {2u, 4u}) {
     ChunkPool pool;
-    HeapArena arena(pool);
-    BuiltGraph g = build_graph(arena, 20000, 21);
+    BuiltGraph g = build_graph(pool, 20000, 21);
     core::ParallelGcOutcome out = collect_graph(g, pool, team);
     // Same live set regardless of who copies it.
     CHECK_EQ(out.totals.objects_copied, out1.totals.objects_copied);
@@ -200,41 +200,42 @@ PARMEM_TEST(parallel_gc_team_sizes_equivalent) {
 
 PARMEM_TEST(parallel_gc_single_worker_has_no_conflicts) {
   ChunkPool pool;
-  HeapArena arena(pool);
-  BuiltGraph g = build_graph(arena, 8000, 5);
+  BuiltGraph g = build_graph(pool, 8000, 5);
   core::ParallelGcOutcome out = collect_graph(g, pool, 1);
-  CHECK_EQ(out.claim_conflicts, 0u);
+  CHECK_EQ(out.totals.claim_conflicts, 0u);
   CHECK(out.totals.objects_copied > 0);
   CHECK_EQ(out.per_worker.size(), 1u);
   CHECK_EQ(out.per_worker[0].packets_stolen, 0u);
 }
 
-// install_chunk_list's non-empty path: a retired chunk list detached
-// from one record can be installed wholesale into another, carrying
-// the object graph (addresses intact) and the allocated-bytes account.
+// Heap::adopt_chunks: a retired chunk list detached from one heap can
+// be adopted wholesale by another (after release_all_chunks empties
+// it), carrying the object graph (addresses intact) and the
+// allocated-bytes account.
 PARMEM_TEST(heap_record_install_chunk_list_roundtrip) {
   ChunkPool pool;
-  HeapArena arena(pool);
-  BuiltGraph g = build_graph(arena, 8000, 11);
+  BuiltGraph g = build_graph(pool, 8000, 11);
   const std::uint64_t before = graph_checksum(g.roots);
   const std::size_t allocated = g.heap->allocated_bytes();
 
-  Chunk* head = g.heap->heap().detach_chunks();
+  Chunk* head = g.heap->detach_chunks();
   Chunk* tail = head;
   while (tail != nullptr && tail->next != nullptr) {
     tail = tail->next;
   }
-  HeapRecord* other = arena.create(nullptr, 0);
-  (void)other->allocate_raw(64);  // preexisting contents must be released
-  other->install_chunk_list(head, tail, allocated);
+  Heap other(nullptr, 0, &pool);
+  (void)other.bump_raw(64);  // preexisting contents must be released
+  other.release_all_chunks();
+  CHECK_EQ(other.allocated_bytes(), 0u);
+  other.adopt_chunks(head, tail, allocated);
 
-  CHECK_EQ(other->allocated_bytes(), allocated);
+  CHECK_EQ(other.allocated_bytes(), allocated);
   CHECK_EQ(graph_checksum(g.roots), before);  // addresses intact
   for (Object* r : g.roots) {
-    CHECK(heap_of(r) == &other->heap());  // ownership retargeted
+    CHECK(heap_of(r) == &other);  // ownership retargeted
   }
-  // And the adopted list collects normally from its new record.
-  core::ParallelCollector pc(pool, {other},
+  // And the adopted list collects normally from its new heap.
+  core::ParallelCollector pc(pool, {&other},
                              core::ParallelGcOptions{2, 32});
   core::ParallelGcOutcome out = pc.collect([&g](auto&& fn) {
     for (Object*& r : g.roots) {
@@ -252,23 +253,21 @@ PARMEM_TEST(heap_record_install_chunk_list_roundtrip) {
 // master itself.
 PARMEM_TEST(parallel_gc_collects_promotion_forwarded_heaps) {
   ChunkPool pool;
-  HeapArena arena(pool);
-  HeapRecord* parent = arena.create(nullptr, 0);
-  HeapRecord* child = arena.create(parent, 1);
+  Heap parent(nullptr, 0, &pool);
+  Heap child(&parent, 1, &pool);
 
-  Object* master = init_object(parent->allocate_raw(object_bytes(0, 2)),
-                               0, 2);
+  Object* master = init_object(parent.bump_raw(object_bytes(0, 2)), 0, 2);
   master->store_i64_plain(0, 41);
   master->store_i64_plain(1, 43);
-  Object* stale = init_object(child->allocate_raw(object_bytes(0, 2)), 0, 2);
+  Object* stale = init_object(child.bump_raw(object_bytes(0, 2)), 0, 2);
   stale->set_fwd(master);  // what a finished promotion leaves behind
 
-  Object* keeper = init_object(child->allocate_raw(object_bytes(1, 1)), 1, 1);
+  Object* keeper = init_object(child.bump_raw(object_bytes(1, 1)), 1, 1);
   keeper->store_i64_plain(0, 7);
   keeper->store_ptr_plain(0, stale);
 
   std::vector<Object*> roots{stale, keeper};
-  core::ParallelCollector pc(pool, {child},
+  core::ParallelCollector pc(pool, {&child},
                              core::ParallelGcOptions{2, 32});
   core::ParallelGcOutcome out = pc.collect([&roots](auto&& fn) {
     for (Object*& r : roots) {

@@ -441,6 +441,14 @@ PARMEM_TEST(observe_stats_json_export_parses) {
   CHECK(lines[3].find("\"gc_stress\":true,") != std::string::npos);
   CHECK(lines[3].find("\"gc_join_threshold\":0,") != std::string::npos);
   CHECK(lines[3].find("\"gc_internal_threshold\":") != std::string::npos);
+  // Hier's evacuation team and promotion protocol: runs that differ in
+  // either must not be compared as the same configuration.
+  CHECK(lines[3].find("\"gc_parallel_team\":0,\"promotion\":\"coarse\"}") !=
+        std::string::npos);
+  for (int i = 0; i < 3; ++i) {
+    CHECK(lines[i].find("\"gc_parallel_team\":") == std::string::npos);
+    CHECK(lines[i].find("\"promotion\":\"") == std::string::npos);
+  }
 
   // The seq, stw and hier runs collected; their exports must say so.
   CHECK(lines[0].find("\"gc_count\":0,") == std::string::npos);
@@ -449,6 +457,62 @@ PARMEM_TEST(observe_stats_json_export_parses) {
 
   std::remove(path);
   trace::reset();
+}
+
+// The counter table (core/stats.hpp) is the one definition of every
+// counter: a distinct value per counter must survive
+// StatsCell::snapshot, Stats += and -, and reach the stats JSON line
+// under the counter's key, with the keys in their documented order.
+PARMEM_TEST(observe_stats_counter_table_roundtrip) {
+  const char* const keys[] = {
+      "promotions",        "promoted_objects",  "promoted_bytes",
+      "promo_claim_conflicts", "gc_count",      "gc_bytes_copied",
+      "gc_kept",           "gc_ns",             "gc_pause_ns",
+      "forks",             "internal_gc_count", "internal_gc_bytes",
+      "global_gc_count",   "global_gc_bytes",   "emergency_gcs"};
+  auto value_of = [](std::size_t i) { return 1000 + 37 * i; };
+
+  StatsCell cell;
+  std::size_t n = 0;
+  for_each_counter([&](const char* key, auto, auto field) {
+    CHECK(n < std::size(keys));
+    CHECK(std::strcmp(key, keys[n]) == 0);
+    (cell.*field).store(value_of(n), std::memory_order_relaxed);
+    ++n;
+  });
+  CHECK_EQ(n, std::size(keys));
+
+  StatsSnapshot snap;
+  snap.stats = cell.snapshot();
+  Stats twice = snap.stats;
+  twice += snap.stats;
+  const Stats diff = twice - snap.stats;
+
+  const char* path = "observe_counter_table.tmp.json";
+  std::remove(path);
+  CHECK(stats_json::write(path, "table", "{}", snap));
+  std::FILE* f = std::fopen(path, "r");
+  CHECK(f != nullptr);
+  char buf[8192];
+  CHECK(std::fgets(buf, sizeof buf, f) != nullptr);
+  std::fclose(f);
+  std::remove(path);
+  const std::string line(buf);
+  CHECK(json_object_line_wellformed(line.substr(0, line.find('\n'))));
+
+  std::string counters = "\"counters\":{";
+  n = 0;
+  for_each_counter([&](const char*, auto field, auto) {
+    const std::uint64_t v = value_of(n);
+    CHECK_EQ(snap.stats.*field, v);
+    CHECK_EQ(twice.*field, 2 * v);
+    CHECK_EQ(diff.*field, v);
+    counters += (n == 0 ? "\"" : ",\"") + std::string(keys[n]) +
+                "\":" + std::to_string(v);
+    ++n;
+  });
+  counters += "},\"memory\":";
+  CHECK(line.find(counters) != std::string::npos);
 }
 
 }  // namespace

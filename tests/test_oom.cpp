@@ -21,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/failpoint.hpp"
 #include "core/hier_runtime.hpp"
+#include "core/trace.hpp"
 #include "runtimes/localheap_runtime.hpp"
 #include "runtimes/seq_runtime.hpp"
 #include "runtimes/stw_runtime.hpp"
@@ -258,6 +259,31 @@ PARMEM_TEST(oom_budget_sweep_matrix) {
   budget_sweep<HierRuntime>(&bench_dedup<HierRuntime>, z, ref_dedup);
 }
 
+std::uint64_t emergency_events() {
+  return trace::snapshot()
+      .by_kind[static_cast<unsigned>(trace::Ev::kEmergency)]
+      .count();
+}
+
+template <class RT>
+void one_shot_cascade() {
+  const std::uint64_t events_before = emergency_events();
+  {
+    RT rt(oom_options<RT>(1, 0, "chunk_alloc=fail@3"));
+    std::int64_t alive = rt.run([](typename RT::Ctx& ctx) {
+      std::int64_t n = 0;
+      for (int i = 0; i < 20000; ++i) {
+        n += ctx.alloc(0, 30) != nullptr;
+      }
+      return n;
+    });
+    CHECK_EQ(alive, 20000);
+    CHECK_EQ(rt.stats().emergency_gcs, std::uint64_t{1});
+  }
+  CHECK_EQ(emergency_events() - events_before, std::uint64_t{1});
+  failpoint::Registry::instance().reset();
+}
+
 PARMEM_TEST(oom_emergency_cascade_recovers) {
   // A one-shot chunk fault is indistinguishable from a transient
   // budget hit: every runtime must absorb it with one emergency
@@ -272,25 +298,16 @@ PARMEM_TEST(oom_emergency_cascade_recovers) {
     CHECK(completed);
     CHECK_EQ(sum, ref);
   }
-  {
-    // Deterministic cascade check: a fresh heap's chunks grow 4K, 8K,
-    // 16K... so an allocation-heavy loop reaches the 3rd FRESH chunk
-    // allocation long before the first scheduled collection, the
-    // one-shot fires there, and alloc_slow must absorb it with exactly
-    // one emergency collection (kernels recycle pooled chunks, which
-    // bypass the fresh-chunk failpoint -- hence the hand-rolled loop).
-    SeqRuntime rt(oom_options<SeqRuntime>(1, 0, "chunk_alloc=fail@3"));
-    std::int64_t alive = rt.run([](SeqRuntime::Ctx& ctx) {
-      std::int64_t n = 0;
-      for (int i = 0; i < 20000; ++i) {
-        n += ctx.alloc(0, 30) != nullptr;
-      }
-      return n;
-    });
-    CHECK_EQ(alive, 20000);
-    CHECK_EQ(rt.stats().emergency_gcs, std::uint64_t{1});
-    failpoint::Registry::instance().reset();
-  }
+  // Deterministic cascade check: a fresh heap's chunks grow 4K, 8K,
+  // 16K... so an allocation-heavy loop reaches the 3rd FRESH chunk
+  // allocation long before the first scheduled collection, the
+  // one-shot fires there, and alloc_slow must absorb it with exactly
+  // one emergency cascade (kernels recycle pooled chunks, which
+  // bypass the fresh-chunk failpoint -- hence the hand-rolled loop).
+  // The cascade bills one emergency_gcs and records one
+  // emergency_cascade event, on seq and on a 1-worker stw alike.
+  one_shot_cascade<SeqRuntime>();
+  one_shot_cascade<StwRuntime>();
   for (unsigned w : {1u, 2u}) {
     auto stw = run_bounded<StwRuntime>(&bench_dedup<StwRuntime>, w, 0,
                                        "chunk_alloc=fail@3", z);
