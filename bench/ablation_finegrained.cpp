@@ -26,13 +26,6 @@ int main(int argc, char** argv) {
   Options opt = parse_options(argc, argv);
   const unsigned procs = opt.procs;
 
-  std::printf(
-      "Ablation: fine-grained promotion (Section 5 future work) (P=%u)\n\n",
-      procs);
-  std::printf("%-15s %-7s %9s %9s %7s %12s %10s %10s\n", "benchmark", "mode",
-              "T1(s)", "Tp(s)", "spd", "promotions", "promoMB", "conflicts");
-  print_rule(88);
-
   struct Item {
     const char* name;
     KernelOut (*fn)(HierRuntime&, const Sizes&);
@@ -43,6 +36,8 @@ int main(int argc, char** argv) {
       {"multi-usp-tree", &bench_multi_usp_tree<HierRuntime>},
       {"msort", &bench_msort<HierRuntime>},
   };
+  require_known_benches(opt, items);
+
   struct Mode {
     const char* name;
     PromotionMode mode;
@@ -51,6 +46,13 @@ int main(int argc, char** argv) {
       {"coarse", PromotionMode::kCoarseLocking},
       {"fine", PromotionMode::kFineGrained},
   };
+
+  std::printf(
+      "Ablation: fine-grained promotion (Section 5 future work) (P=%u)\n\n",
+      procs);
+  std::printf("%-15s %-7s %9s %9s %7s %12s %10s %10s\n", "benchmark", "mode",
+              "T1(s)", "Tp(s)", "spd", "promotions", "promoMB", "conflicts");
+  print_rule(88);
 
   for (const Item& item : items) {
     if (!opt.selected(item.name)) {

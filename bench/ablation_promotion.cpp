@@ -19,12 +19,6 @@ int main(int argc, char** argv) {
   Options opt = parse_options(argc, argv);
   const unsigned procs = opt.procs;
 
-  std::printf("Ablation: promotion path-locking serialization (P=%u)\n\n",
-              procs);
-  std::printf("%-15s %9s %9s %7s %12s %10s\n", "benchmark", "T1(s)",
-              "Tp(s)", "spd", "promotions", "promoMB");
-  print_rule(70);
-
   struct Item {
     const char* name;
     KernelOut (*fn)(parmem::HierRuntime&, const Sizes&);
@@ -34,6 +28,14 @@ int main(int argc, char** argv) {
       {"usp-tree", &bench_usp_tree<parmem::HierRuntime>},
       {"multi-usp-tree", &bench_multi_usp_tree<parmem::HierRuntime>},
   };
+
+  require_known_benches(opt, items);
+
+  std::printf("Ablation: promotion path-locking serialization (P=%u)\n\n",
+              procs);
+  std::printf("%-15s %9s %9s %7s %12s %10s\n", "benchmark", "T1(s)",
+              "Tp(s)", "spd", "promotions", "promoMB");
+  print_rule(70);
 
   for (const Item& item : items) {
     if (!opt.selected(item.name)) {

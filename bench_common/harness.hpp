@@ -7,12 +7,14 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -111,28 +113,28 @@ struct Options {
   int runs = 3;
   bool quick = false;
   Sizes sizes;
-  std::string bench_filter;  // comma-separated names; empty = all
-  std::string json_out;      // write per-runtime JSON sections here
+  std::vector<std::string> benches;  // --bench=a,b; empty = all
+  std::string json_out;              // write per-runtime JSON sections here
 
   bool selected(const char* name) const {
-    if (bench_filter.empty()) {
-      return true;
-    }
-    std::string needle(name);
-    std::size_t pos = 0;
-    while (pos <= bench_filter.size()) {
-      std::size_t comma = bench_filter.find(',', pos);
-      if (comma == std::string::npos) {
-        comma = bench_filter.size();
-      }
-      if (bench_filter.compare(pos, comma - pos, needle) == 0) {
-        return true;
-      }
-      pos = comma + 1;
-    }
-    return false;
+    return benches.empty() ||
+           std::find(benches.begin(), benches.end(), name) != benches.end();
   }
 };
+
+// The whole of `text` as a number, or exit 2 naming `flag`: a malformed
+// value must not run as some default.
+template <class T>
+T parse_number(const char* flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s: not a number: '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return value;
+}
 
 inline Options parse_options(int argc, char** argv) {
   Options opt;
@@ -143,15 +145,19 @@ inline Options parse_options(int argc, char** argv) {
       return std::strncmp(a, prefix, n) == 0 ? a + n : nullptr;
     };
     if (const char* v = value("--procs=")) {
-      opt.procs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      opt.procs = parse_number<unsigned>("--procs", v);
     } else if (const char* v = value("--runs=")) {
-      opt.runs = static_cast<int>(std::strtol(v, nullptr, 10));
+      opt.runs = parse_number<int>("--runs", v);
     } else if (const char* v = value("--scale=")) {
-      opt.sizes.scale = std::strtod(v, nullptr);
+      opt.sizes.scale = parse_number<double>("--scale", v);
     } else if (const char* v = value("--seed=")) {
-      opt.sizes.seed = std::strtoull(v, nullptr, 10);
+      opt.sizes.seed = parse_number<std::uint64_t>("--seed", v);
     } else if (const char* v = value("--bench=")) {
-      opt.bench_filter = v;
+      for (std::string_view list(v); !list.empty();) {
+        const std::size_t comma = std::min(list.find(','), list.size());
+        opt.benches.emplace_back(list.substr(0, comma));
+        list.remove_prefix(std::min(comma + 1, list.size()));
+      }
     } else if (const char* v = value("--json=")) {
       opt.json_out = v;
     } else if (std::strcmp(a, "--quick") == 0) {
@@ -178,6 +184,25 @@ inline Options parse_options(int argc, char** argv) {
     opt.runs = 1;
   }
   return opt;
+}
+
+// Exits 2, listing the names in `rows` (anything with a `name`), when
+// --bench names a kernel that is not among them: a misspelt kernel must
+// not pass as an empty run.
+template <class Row, std::size_t N>
+void require_known_benches(const Options& opt, const Row (&rows)[N]) {
+  for (const std::string& b : opt.benches) {
+    if (std::none_of(rows, rows + N,
+                     [&](const Row& r) { return b == r.name; })) {
+      std::fprintf(stderr, "--bench: unknown kernel '%s'; known:",
+                   b.c_str());
+      for (const Row& r : rows) {
+        std::fprintf(stderr, " %s", r.name);
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+  }
 }
 
 // One measured configuration: the median-time run's wall time, counter
@@ -230,72 +255,62 @@ Measurement measure(RT& rt, const Sizes& sizes, int runs, Fn&& fn) {
   return m;
 }
 
-// Streams `{"procs":P,"scale":S,"runtimes":{"seq":[{...},...],...}}`
-// -- one section per runtime -- so scripts/run_bench.sh can record a
-// machine-readable per-runtime baseline next to BENCH_micro.json.
-class RuntimeJson {
- public:
-  bool open(const std::string& path, unsigned procs, const Sizes& sizes) {
-    if (path.empty()) {
-      return false;
-    }
-    f_ = std::fopen(path.c_str(), "w");
-    if (f_ == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f_, "{\n  \"procs\": %u,\n  \"scale\": %g,\n"
-                     "  \"runtimes\": {",
-                 procs, sizes.scale);
-    return true;
-  }
-
-  void begin_runtime(const char* name) {
-    if (f_ == nullptr) {
-      return;
-    }
-    std::fprintf(f_, "%s\n    \"%s\": [", first_rt_ ? "" : ",", name);
-    first_rt_ = false;
-    first_row_ = true;
-  }
-
-  void add(const char* bench, unsigned procs, const Measurement& m) {
-    if (f_ == nullptr) {
-      return;
-    }
-    std::fprintf(
-        f_,
-        "%s\n      {\"name\": \"%s\", \"procs\": %u, \"seconds\": %.6f, "
-        "\"checksum\": %lld, \"peak_bytes\": %zu, \"gc_count\": %llu, "
-        "\"gc_ns\": %llu, \"promotions\": %llu, \"promoted_bytes\": %llu}",
-        first_row_ ? "" : ",", bench, procs, m.seconds,
-        static_cast<long long>(m.checksum), m.peak_bytes,
-        static_cast<unsigned long long>(m.stats.gc_count),
-        static_cast<unsigned long long>(m.stats.gc_ns),
-        static_cast<unsigned long long>(m.stats.promotions),
-        static_cast<unsigned long long>(m.stats.promoted_bytes));
-    first_row_ = false;
-  }
-
-  void end_runtime() {
-    if (f_ != nullptr) {
-      std::fprintf(f_, "\n    ]");
-    }
-  }
-
-  void close() {
-    if (f_ != nullptr) {
-      std::fprintf(f_, "\n  }\n}\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-
- private:
-  std::FILE* f_ = nullptr;
-  bool first_rt_ = true;
-  bool first_row_ = true;
+// One measured (runtime, kernel, P) configuration: a row of the
+// per-runtime JSON that scripts/perf_diff.py reads.
+struct RuntimeRow {
+  const char* runtime;
+  const char* name;
+  unsigned procs;
+  Measurement m;
 };
+
+// Writes `{"procs":P,"scale":S,"runtimes":{"seq":[{...},...],...}}`, one
+// section per runtime in the order the runtimes first appear in `rows`;
+// scripts/run_bench.sh records it as the BENCH_runtimes.json baseline.
+inline bool write_runtime_json(const std::string& path, unsigned procs,
+                               const Sizes& sizes,
+                               const std::vector<RuntimeRow>& rows) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(f, "{\n  \"procs\": %u,\n  \"scale\": %g,\n  \"runtimes\": {",
+               procs, sizes.scale);
+  std::vector<const char*> runtimes;
+  for (const RuntimeRow& r : rows) {
+    if (std::none_of(runtimes.begin(), runtimes.end(), [&](const char* rt) {
+          return std::strcmp(rt, r.runtime) == 0;
+        })) {
+      runtimes.push_back(r.runtime);
+    }
+  }
+  for (const char* rt : runtimes) {
+    std::fprintf(f, "%s\n    \"%s\": [", rt == runtimes.front() ? "" : ",",
+                 rt);
+    bool first = true;
+    for (const RuntimeRow& r : rows) {
+      if (std::strcmp(r.runtime, rt) != 0) {
+        continue;
+      }
+      std::fprintf(
+          f,
+          "%s\n      {\"name\": \"%s\", \"procs\": %u, \"seconds\": %.6f, "
+          "\"checksum\": %lld, \"peak_bytes\": %zu, \"gc_count\": %llu, "
+          "\"gc_ns\": %llu, \"promotions\": %llu, \"promoted_bytes\": %llu}",
+          first ? "" : ",", r.name, r.procs, r.m.seconds,
+          static_cast<long long>(r.m.checksum), r.m.peak_bytes,
+          static_cast<unsigned long long>(r.m.stats.gc_count),
+          static_cast<unsigned long long>(r.m.stats.gc_ns),
+          static_cast<unsigned long long>(r.m.stats.promotions),
+          static_cast<unsigned long long>(r.m.stats.promoted_bytes));
+      first = false;
+    }
+    std::fprintf(f, "\n    ]");
+  }
+  std::fprintf(f, "\n  }\n}\n");
+  return std::fclose(f) == 0;
+}
 
 inline void print_rule(int width) {
   for (int i = 0; i < width; ++i) {

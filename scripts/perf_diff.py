@@ -12,9 +12,11 @@ format (auto-detected per file):
     matched by runtime name + occurrence order; gated metrics are
     counters.gc_ns, counters.gc_pause_ns, memory.peak_bytes, and each
     pause kind's sum_ns / p95_ns / p99_ns. Two matched records that
-    both carry a "config" object must carry the same one: runs of
-    different configurations are not compared (exit 2). Recordings
-    from before the config was exported still compare.
+    both carry a "config" object must agree on every key both carry:
+    runs of different configurations are not compared (exit 2). A key
+    only one side carries (a recording made before it was exported) is
+    noted and skipped, and recordings from before the config was
+    exported still compare.
   * the figure drivers' per-runtime JSON (BENCH_runtimes.json, written
     by scripts/run_bench.sh): rows runtime/bench/P<procs>/seconds and
     .../peak_bytes. Two matched rows must carry the same checksum: a
@@ -110,6 +112,19 @@ def runtimes_rows(doc):
     return rows, checksums
 
 
+def shared_identity(tag, base, cur):
+    """Two identities cut to what both sides record: a config key that
+    only one stats record carries (one side predates it) is noted, not
+    compared."""
+    if not (isinstance(base, dict) and isinstance(cur, dict)):
+        return base, cur
+    for key in sorted(base.keys() ^ cur.keys()):
+        side = "baseline" if key in base else "current"
+        print(f"note: {tag} config key {key!r} only in {side}; not compared")
+    shared = base.keys() & cur.keys()
+    return ({k: base[k] for k in shared}, {k: cur[k] for k in shared})
+
+
 def stats_metrics(rec):
     yield "counters.gc_ns", float(rec["counters"]["gc_ns"])
     if "gc_pause_ns" in rec["counters"]:  # absent from older recordings
@@ -143,13 +158,14 @@ def main():
         print(f"perf_diff: format mismatch ({base_fmt} vs {cur_fmt})",
               file=sys.stderr)
         return 2
-    differ = sorted(t for t in base_id
-                    if t in cur_id and base_id[t] != cur_id[t])
-    for tag in differ:
-        print(f"perf_diff: {tag} ran with a different "
-              f"{IDENTITY[base_fmt]}: "
-              f"{json.dumps(base_id[tag], sort_keys=True)} vs "
-              f"{json.dumps(cur_id[tag], sort_keys=True)}", file=sys.stderr)
+    differ = []
+    for tag in sorted(t for t in base_id if t in cur_id):
+        b, c = shared_identity(tag, base_id[tag], cur_id[tag])
+        if b != c:
+            differ.append(tag)
+            print(f"perf_diff: {tag} ran with a different "
+                  f"{IDENTITY[base_fmt]}: {json.dumps(b, sort_keys=True)} "
+                  f"vs {json.dumps(c, sort_keys=True)}", file=sys.stderr)
     if differ:
         return 2
 

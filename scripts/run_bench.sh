@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # Build (Release) and run the perf baseline:
 #   micro_ops            -> BENCH_micro.json    (google-benchmark JSON, the
-#                                                baseline later perf PRs diff)
+#                                                baseline later perf PRs diff;
+#                                                pinned to CPU 0, medians of
+#                                                5 repetitions in full mode)
 #   fig08_op_costs       -> BENCH_fig08.txt     (the paper's Figure 8 matrix)
-#   fig10_pure           -> BENCH_runtimes.json (per-runtime sections: seq /
-#                                                stw / localheap / hier)
+#   figures              -> BENCH_runtimes.json (every measurement behind
+#                                                Figures 10-13 and the
+#                                                promotion table, one section
+#                                                per runtime: seq / stw /
+#                                                localheap / hier)
 #   ablation_parallel_gc -> BENCH_parallel_gc.txt (team-scaling + join-time
 #                                                policy tables)
 #   ablation_internal_gc -> BENCH_internal_gc.txt (internal-heap collection
@@ -27,9 +32,11 @@
 #                    driver (one process per runtime via --runtime=).
 #   --quick          smoke mode: short min-time / tiny sizes, for CI.
 #   --bench=FILTER   run only matching benchmarks. For micro_ops the
-#                    filter is a google-benchmark regex; for fig10 it is
-#                    a comma-separated kernel list (fib,map,...); the
-#                    parallel_gc section is skipped under a filter.
+#                    filter is a google-benchmark regex; for figures it
+#                    is a comma-separated kernel list (fib,map,...), and
+#                    a name figures does not know stops the script; the
+#                    ablation and serve sections are skipped under a
+#                    filter.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -79,7 +86,7 @@ fi
 
 cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
-  --target micro_ops fig08_op_costs fig10_pure ablation_parallel_gc \
+  --target micro_ops fig08_op_costs figures ablation_parallel_gc \
            ablation_internal_gc ablation_oom serve >/dev/null
 
 # A filtered run is a subset: never let it overwrite the committed
@@ -95,16 +102,27 @@ BM_ARGS=(
   "--benchmark_out=$OUT_DIR/BENCH_micro.json"
   "--benchmark_out_format=json"
 )
+# Single runs of a row swing by up to +-40 % on this hardware, so the
+# full recording keeps the median of five repetitions (perf_diff.py
+# gates on the median aggregate).
 if [ "$QUICK" -eq 1 ]; then
   BM_ARGS+=("--benchmark_min_time=0.05")
 else
-  BM_ARGS+=("--benchmark_min_time=0.5")
+  BM_ARGS+=("--benchmark_min_time=0.5" "--benchmark_repetitions=5"
+            "--benchmark_report_aggregates_only=true")
 fi
 if [ -n "$FILTER" ]; then
   BM_ARGS+=("--benchmark_filter=$FILTER")
 fi
 
-"$BUILD/micro_ops" "${BM_ARGS[@]}"
+# One CPU, as the committed baseline is recorded: unpinned, idle pool
+# workers steal fork2's right branches and the fork rows read several
+# times slower.
+PIN=()
+if command -v taskset >/dev/null; then
+  PIN=(taskset -c 0)
+fi
+${PIN[@]+"${PIN[@]}"} "$BUILD/micro_ops" "${BM_ARGS[@]}"
 
 FIG08_ARGS=()
 if [ "$QUICK" -eq 1 ]; then
@@ -113,19 +131,20 @@ fi
 "$BUILD/fig08_op_costs" "${FIG08_ARGS[@]+"${FIG08_ARGS[@]}"}" \
   | tee "$OUT_DIR/BENCH_fig08.txt"
 
-# Per-runtime comparison baseline: one JSON section per runtime. Keep
-# the sweep small even in full mode -- it covers four runtimes x two
-# worker counts per kernel.
-FIG10_ARGS=("--json=$OUT_DIR/BENCH_runtimes.json" "--procs=2")
+# Per-runtime comparison baseline: one JSON section per runtime, every
+# (kernel, runtime, P) the figures print. Keep the sweep small even in
+# full mode -- it covers four runtimes x up to two worker counts per
+# kernel. The driver exits nonzero on any checksum mismatch.
+FIGURES_ARGS=("--json=$OUT_DIR/BENCH_runtimes.json" "--procs=2")
 if [ "$QUICK" -eq 1 ]; then
-  FIG10_ARGS+=("--quick")
+  FIGURES_ARGS+=("--quick")
 else
-  FIG10_ARGS+=("--scale=0.2" "--runs=3")
+  FIGURES_ARGS+=("--scale=0.2" "--runs=3")
 fi
 if [ -n "$FILTER" ]; then
-  FIG10_ARGS+=("--bench=$FILTER")
+  FIGURES_ARGS+=("--bench=$FILTER")
 fi
-"$BUILD/fig10_pure" "${FIG10_ARGS[@]}"
+"$BUILD/figures" "${FIGURES_ARGS[@]}"
 
 # Parallel-GC baseline: Part 1 team scaling of one-heap evacuation,
 # Part 2 join-time policy. Kernel-agnostic, so a --bench filter skips
