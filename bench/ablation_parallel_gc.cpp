@@ -1,24 +1,18 @@
-// Ablation: parallel collection of individual heaps, and join-time
-// subtree collection -- the two GC completions Section 5 plans.
+// Ablation: parallel collection of individual heaps, one of the two GC
+// completions Section 5 plans (the other, join-time subtree collection,
+// is the join-gc sweep of bench/ablations.cpp).
 //
-// Part 1 isolates core/gc_parallel.hpp: one large quiesced heap holding
-// a mixed object graph is evacuated by teams of increasing size. The
+// This isolates core/gc_parallel.hpp: one large quiesced heap holding a
+// mixed object graph is evacuated by teams of increasing size. The
 // paper's collector corresponds to team=1 ("each such collection is
 // sequential"); the expected shape is collection time falling with team
 // size until memory bandwidth saturates.
-//
-// Part 2 measures the join-time policy (gc_join_threshold): a
-// promotion-heavy kernel leaves stale originals in child heaps at every
-// join; collecting the quiesced two-sibling subtree before it merges
-// upward lowers peak heap occupancy for some GC time.
 #include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "bench_common/harness.hpp"
-#include "bench_common/workloads.hpp"
 #include "core/gc_parallel.hpp"
-#include "core/hier_runtime.hpp"
 #include "data/rand.hpp"
 
 namespace {
@@ -71,7 +65,6 @@ int main(int argc, char** argv) {
   Options opt = parse_options(argc, argv);
   const unsigned procs = opt.procs;
 
-  // --- Part 1: parallel evacuation of one big heap ----------------------
   const std::size_t heap_bytes = static_cast<std::size_t>(
       96.0 * 1024.0 * 1024.0 * (opt.sizes.scale < 1.0 ? opt.sizes.scale : 1.0));
   std::printf("Ablation: parallel collection of one heap (%zu MB live-ish)\n\n",
@@ -117,48 +110,8 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // --- Part 2: join-time subtree collection ------------------------------
   std::printf(
-      "\nAblation: join-time subtree collection (usp-tree kernel, P=%u)\n\n",
-      procs);
-  std::printf("%-10s %9s %10s %8s %10s\n", "join-gc", "Tp(s)", "peakMB",
-              "gcs", "gc%");
-  print_rule(52);
-  struct JoinPolicy {
-    const char* label;
-    std::size_t threshold;
-    unsigned team;
-  };
-  // The team row collects the same subtrees with up to
-  // gc_parallel_team workers: the driver plus the mutators its stop
-  // parked, so the team is only as large as the parked set at each
-  // join.
-  const JoinPolicy policies[] = {
-      {"off", 0, 0},
-      {"64KiB", std::size_t{1} << 16, 0},
-      {"64KiB-team", std::size_t{1} << 16, procs > 1 ? procs : 2},
-  };
-  for (const JoinPolicy& p : policies) {
-    HierRuntime::Options ro;
-    ro.workers = procs;
-    ro.gc_join_threshold = p.threshold;
-    ro.gc_parallel_team = p.team;
-    HierRuntime rt(ro);
-    const Measurement m =
-        measure(rt, opt.sizes, opt.runs, [](HierRuntime& r, const Sizes& z) {
-          return bench_usp_tree(r, z);
-        });
-    std::printf("%-10s %9.3f %10s %8llu %10s\n", p.label, m.seconds,
-                fmt_mb(m.peak_bytes).c_str(),
-                static_cast<unsigned long long>(m.stats.gc_count),
-                fmt_pct(m.gc_fraction()).c_str());
-    std::fflush(stdout);
-  }
-  std::printf(
-      "\nexpected shape: part 1 -- collection time drops with team size "
-      "(the paper's sequential collector is team=1); part 2 -- join-time "
-      "collection trades GC work for lower peak occupancy on "
-      "promotion-heavy joins, and the team row only wins once subtrees "
-      "are large enough to amortize its packet and termination overhead\n");
+      "\nexpected shape: collection time drops with team size (the "
+      "paper's sequential collector is team=1)\n");
   return 0;
 }

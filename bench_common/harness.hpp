@@ -1,9 +1,7 @@
 // Shared measurement scaffolding for the figure/ablation drivers:
 // wall-clock timing, CLI options, median-of-runs measurement with
-// runtime counter deltas, and small table-printing helpers.
-//
-// Workload kernels (bench_common/workloads.hpp) arrive in a later PR;
-// everything here is kernel-agnostic.
+// runtime counter deltas, and small table-printing helpers. Everything
+// here is kernel-agnostic; the kernels are bench_common/workloads.hpp.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -106,6 +105,8 @@ struct Sizes {
     tourney_n = floor_pow2(scaled(std::int64_t{1} << 22), 64);
     reach_n = scaled(std::int64_t{1} << 20);
   }
+
+  bool operator==(const Sizes&) const = default;
 };
 
 struct Options {
@@ -187,16 +188,15 @@ inline Options parse_options(int argc, char** argv) {
 }
 
 // Exits 2, listing the names in `rows` (anything with a `name`), when
-// --bench names a kernel that is not among them: a misspelt kernel must
+// --bench names something that is not among them: a misspelt kernel must
 // not pass as an empty run.
-template <class Row, std::size_t N>
-void require_known_benches(const Options& opt, const Row (&rows)[N]) {
+template <class Rows>
+void require_known_benches(const Options& opt, const Rows& rows) {
   for (const std::string& b : opt.benches) {
-    if (std::none_of(rows, rows + N,
-                     [&](const Row& r) { return b == r.name; })) {
-      std::fprintf(stderr, "--bench: unknown kernel '%s'; known:",
-                   b.c_str());
-      for (const Row& r : rows) {
+    if (std::none_of(std::begin(rows), std::end(rows),
+                     [&](const auto& r) { return b == r.name; })) {
+      std::fprintf(stderr, "--bench: unknown name '%s'; known:", b.c_str());
+      for (const auto& r : rows) {
         std::fprintf(stderr, " %s", r.name);
       }
       std::fprintf(stderr, "\n");
@@ -256,12 +256,15 @@ Measurement measure(RT& rt, const Sizes& sizes, int runs, Fn&& fn) {
 }
 
 // One measured (runtime, kernel, P) configuration: a row of the
-// per-runtime JSON that scripts/perf_diff.py reads.
+// per-runtime JSON that scripts/perf_diff.py reads. An ablation row also
+// names the setting it ran under ("gc_min_budget=1MiB"); a figure row
+// leaves it empty.
 struct RuntimeRow {
   const char* runtime;
   const char* name;
   unsigned procs;
   Measurement m;
+  std::string label;
 };
 
 // Writes `{"procs":P,"scale":S,"runtimes":{"seq":[{...},...],...}}`, one
@@ -293,12 +296,17 @@ inline bool write_runtime_json(const std::string& path, unsigned procs,
       if (std::strcmp(r.runtime, rt) != 0) {
         continue;
       }
+      std::fprintf(f, "%s\n      {\"name\": \"%s\", ", first ? "" : ",",
+                   r.name);
+      if (!r.label.empty()) {
+        std::fprintf(f, "\"setting\": \"%s\", ", r.label.c_str());
+      }
       std::fprintf(
           f,
-          "%s\n      {\"name\": \"%s\", \"procs\": %u, \"seconds\": %.6f, "
+          "\"procs\": %u, \"seconds\": %.6f, "
           "\"checksum\": %lld, \"peak_bytes\": %zu, \"gc_count\": %llu, "
           "\"gc_ns\": %llu, \"promotions\": %llu, \"promoted_bytes\": %llu}",
-          first ? "" : ",", r.name, r.procs, r.m.seconds,
+          r.procs, r.m.seconds,
           static_cast<long long>(r.m.checksum), r.m.peak_bytes,
           static_cast<unsigned long long>(r.m.stats.gc_count),
           static_cast<unsigned long long>(r.m.stats.gc_ns),

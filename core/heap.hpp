@@ -9,9 +9,9 @@
 // are carved from large anonymous mappings (regions), and a chunk only
 // ever touches its first `bytes`, so a starter costs a page or two of
 // RSS however much address space its slot spans. Released chunks are
-// recycled by size class through per-thread caches and a shared free
-// list without a syscall; a miss in one class takes a free slot of
-// another class before a new slot is carved, and ChunkPool::trim
+// recycled by size class through one free list per class without a
+// syscall; a miss in one class takes a free slot of another class
+// before a new slot is carved, and ChunkPool::trim
 // returns the pages of surplus free slots to the OS. Oversized objects
 // get a dedicated multiple-of-256KiB mapping of their own; their start
 // address still lies inside the first aligned block, so the mask trick
@@ -129,12 +129,11 @@ class SpinLock {
 
 // Per-runtime chunk recycler and the only source of chunk memory (see
 // the file comment for the slot layout). Each size class, 4 KiB to
-// 256 KiB, has a free list per cache shard (kCacheShards shards of up
-// to kCacheCap chunks per class, each shard on its own cache line
-// behind its own spinlock) in front of a shared list behind a mutex,
-// so the acquire/release churn of leaf GC and fork-tree turnover
-// touches the shared lock only on cache misses and overflows, and the
-// OS only when no free slot of any class is left.
+// 256 KiB, has one free list, and all of them sit behind one mutex; the
+// OS is asked only when no free slot of any class is left. There is no
+// per-thread cache in front of the lists: one served under 6 % of
+// acquires, because a collection releases hundreds of chunks at once,
+// more than a small cache holds.
 class ChunkPool {
  public:
   ChunkPool() = default;
@@ -149,17 +148,11 @@ class ChunkPool {
     // munmap leaves ASan's shadow as it is, so the poison goes first or
     // a later mapping of these addresses would start poisoned. Only
     // pooled payloads and emptied slots carry any (see hand_out).
-    auto clear = [](FreeLists& lists) {
-      for (Chunk* head : lists.head) {
-        for (Chunk* c = head; c != nullptr; c = c->next) {
-          unpoison(c->data(), c->bytes - kChunkHeaderBytes);
-        }
+    for (Chunk* head : free_.head) {
+      for (Chunk* c = head; c != nullptr; c = c->next) {
+        unpoison(c->data(), c->bytes - kChunkHeaderBytes);
       }
-    };
-    for (CacheShard& s : cache_) {
-      clear(s.lists);
     }
-    clear(free_);
     for (char* slot : empty_) {
       unpoison(slot, kChunkBytes);
     }
@@ -190,28 +183,10 @@ class ChunkPool {
     while (want - kChunkHeaderBytes < payload_bytes) {
       want <<= 1;  // terminates: payload fits a kChunkBytes chunk
     }
-    const unsigned cls = class_of(want);
-    // Per-thread cache first: uncontended spinlock on our own line.
-    // check_budget runs BEFORE the pop on every path, so a budget
-    // throw leaves the chunk where it was.
-    Chunk* c = nullptr;
-    {
-      CacheShard& s = shard();
-      std::lock_guard<SpinLock> g(s.lock);
-      if (s.lists.head[cls] != nullptr) {
-        check_budget(want);  // pooled reuse still counts as live
-        c = s.lists.pop(cls);
-      }
-    }
-    if (c == nullptr) {
-      c = take_shared(cls, want);
-    }
-    return hand_out(c, want);
+    return hand_out(take(class_of(want), want), want);
   }
 
-  // Returns a chunk to the pool. A slot chunk goes to its class's list
-  // in the caller's cache shard, spilling to the shared list when the
-  // shard is full so one thread's GC churn stays reusable by everyone;
+  // Returns a chunk to the pool. A slot chunk goes to its class's list;
   // its payload keeps its pages (reuse costs no fault) and is poisoned
   // under ASan until handed out again. An oversized chunk is unmapped.
   void release(Chunk* c) {
@@ -220,27 +195,14 @@ class ChunkPool {
       unmap_with_slack(reinterpret_cast<char*>(c) - c->map_slack, bytes);
     } else {
       poison(c->data(), bytes - kChunkHeaderBytes);
-      const unsigned cls = class_of(bytes);
-      CacheShard& s = shard();
-      bool cached = false;
-      {
-        std::lock_guard<SpinLock> g(s.lock);
-        if (s.lists.count[cls] < kCacheCap) {
-          s.lists.push(c, cls);
-          cached = true;
-        }
-      }
-      if (!cached) {
-        std::lock_guard<std::mutex> g(mu_);
-        free_.push(c, cls);
-      }
+      std::lock_guard<std::mutex> g(mu_);
+      free_.push(c, class_of(bytes));
     }
     live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
-  // Returns the pages of free slots on the shared lists to the OS until
-  // at most keep_bytes of chunk memory stay pooled there (the
-  // per-thread caches are untouched). Surplus slots are sorted by
+  // Returns the pages of free slots to the OS until at most keep_bytes
+  // of chunk memory stay pooled. Surplus slots are sorted by
   // address and each contiguous run is discarded with one madvise, so
   // the syscall count follows the fragmentation of the free set rather
   // than its size. The discarded slots are handed out again, before
@@ -262,7 +224,6 @@ class ChunkPool {
           p = &c->next;
         } else {
           *p = c->next;
-          --free_.count[cls];
           // Never reallocates: map_region reserved a place for every
           // slot.
           empty_.push_back(reinterpret_cast<char*>(c));
@@ -341,23 +302,17 @@ class ChunkPool {
     }
   }
 
-  // Cache miss: the shared lists, then every cache shard, and a fresh
-  // slot only when no free slot of any class is left anywhere. Taking
-  // across classes is what stops the per-class lists from hoarding:
-  // batch_pure's steady RSS was 415 MB without it and 288 MB with it
-  // (25 s runs, 4-vCPU VM). Shard locks nest inside mu_; nothing takes
-  // mu_ while holding a shard lock.
-  Chunk* take_shared(unsigned cls, std::size_t want) {
+  // A free slot of this class or the nearest other one, and a fresh
+  // slot only when no free slot of any class is left. check_budget runs
+  // before the pop (pooled reuse still counts as live), so a budget
+  // throw leaves the chunk where it was. Taking across classes is what
+  // stops the per-class lists from hoarding: batch_pure's steady RSS was
+  // 415 MB without it and 288 MB with it (25 s runs, 4-vCPU VM).
+  Chunk* take(unsigned cls, std::size_t want) {
     std::lock_guard<std::mutex> g(mu_);
     check_budget(want);
     if (Chunk* c = free_.pop_nearest(cls)) {
       return c;
-    }
-    for (CacheShard& s : cache_) {
-      std::lock_guard<SpinLock> sg(s.lock);
-      if (Chunk* c = s.lists.pop_nearest(cls)) {
-        return c;
-      }
     }
     return fresh(want);
   }
@@ -501,23 +456,17 @@ class ChunkPool {
     }
   }
 
-  static constexpr unsigned kCacheShards = 8;  // power of two
-  static constexpr unsigned kCacheCap = 4;     // chunks per class per shard
-
   // One free list per size class, linked through the chunk headers.
   struct FreeLists {
     Chunk* head[kClasses] = {};
-    std::size_t count[kClasses] = {};
 
     void push(Chunk* c, unsigned cls) {
       c->next = head[cls];
       head[cls] = c;
-      ++count[cls];
     }
     Chunk* pop(unsigned cls) {
       Chunk* c = head[cls];
       head[cls] = c->next;
-      --count[cls];
       return c;
     }
     // This class, else the nearest smaller one (its resident pages are
@@ -538,16 +487,7 @@ class ChunkPool {
     }
   };
 
-  struct alignas(64) CacheShard {
-    SpinLock lock;
-    FreeLists lists;
-  };
-
-  CacheShard& shard() { return cache_[thread_shard_id() % kCacheShards]; }
-
-  CacheShard cache_[kCacheShards];
-  // Everything below up to live_bytes_ is guarded by mu_ (cache-miss
-  // path only).
+  // Everything below up to live_bytes_ is guarded by mu_.
   std::mutex mu_;
   FreeLists free_;
   std::vector<char*> empty_;    // slots whose pages trim() returned

@@ -17,15 +17,21 @@ format (auto-detected per file):
     only one side carries (a recording made before it was exported) is
     noted and skipped, and recordings from before the config was
     exported still compare.
-  * the figure drivers' per-runtime JSON (BENCH_runtimes.json, written
-    by scripts/run_bench.sh): rows runtime/bench/P<procs>/seconds and
-    .../peak_bytes. Two matched rows must carry the same checksum: a
-    run that computed a different answer is not compared (exit 2).
+  * the figure and ablation drivers' per-runtime JSON
+    (BENCH_runtimes.json and BENCH_ablations.json, written by
+    scripts/run_bench.sh): rows runtime/bench/P<procs>/seconds and
+    .../peak_bytes, with the row's setting after P<procs> when it has
+    one (hier/map/P2/gc_min_budget=1MiB/seconds). Two matched rows must
+    carry the same checksum: a run that computed a different answer is
+    not compared (exit 2).
 
 A row REGRESSES when current > baseline * (1 + threshold) and the
 absolute growth also exceeds --abs-floor (so sub-nanosecond noise on
-fast-path rows cannot trip the gate). Improvements are reported, never
-fatal. Exit status: 0 clean, 1 regression(s), 2 usage/input error.
+fast-path rows cannot trip the gate). A */peak_bytes row must also grow
+by more than one 256 KiB chunk: a peak counts whole chunks, and which
+worker touches one more decides it run to run. Improvements are
+reported, never fatal. Exit status: 0 clean, 1 regression(s), 2
+usage/input error.
 
 Usage:
     perf_diff.py baseline.json current.json [--threshold 0.05]
@@ -45,6 +51,9 @@ IDENTITY = {
     "stats-jsonl": "config",
     "runtimes-json": "checksum",
 }
+
+# kChunkBytes (core/heap.hpp): the step a peak_bytes row moves in.
+CHUNK_BYTES = 256 * 1024
 
 
 def load_records(path):
@@ -106,6 +115,8 @@ def runtimes_rows(doc):
     for rt, records in doc["runtimes"].items():
         for r in records:
             tag = f"{rt}/{r['name']}/P{r['procs']}"
+            if r.get("setting"):
+                tag += f"/{r['setting']}"
             checksums[tag] = r["checksum"]
             rows[f"{tag}/seconds"] = float(r["seconds"])
             rows[f"{tag}/peak_bytes"] = float(r["peak_bytes"])
@@ -186,11 +197,14 @@ def main():
     for name in sorted(common):
         b, c = base[name], cur[name]
         delta = (c - b) / b if b else (0.0 if c == b else float("inf"))
+        floor = args.abs_floor
+        if name.endswith("/peak_bytes"):
+            floor = max(floor, CHUNK_BYTES)
         flag = ""
-        if c > b * (1.0 + args.threshold) and (c - b) > args.abs_floor:
+        if c > b * (1.0 + args.threshold) and (c - b) > floor:
             flag = "  REGRESSION"
             regressions.append(name)
-        elif b > c * (1.0 + args.threshold) and (b - c) > args.abs_floor:
+        elif b > c * (1.0 + args.threshold) and (b - c) > floor:
             flag = "  improved"
         print(f"{name:<{width}} {b:12.3f} {c:12.3f} {100 * delta:+7.2f}%"
               f"{flag}")

@@ -2,18 +2,22 @@
 # Build (Release) and run the perf baseline:
 #   micro_ops            -> BENCH_micro.json    (google-benchmark JSON, the
 #                                                baseline later perf PRs diff;
-#                                                pinned to CPU 0, medians of
-#                                                5 repetitions in full mode)
+#                                                pinned to CPU 0; in full mode
+#                                                each row is the median of 5
+#                                                processes' medians of 5
+#                                                repetitions)
 #   fig08_op_costs       -> BENCH_fig08.txt     (the paper's Figure 8 matrix)
 #   figures              -> BENCH_runtimes.json (every measurement behind
 #                                                Figures 10-13 and the
 #                                                promotion table, one section
 #                                                per runtime: seq / stw /
 #                                                localheap / hier)
-#   ablation_parallel_gc -> BENCH_parallel_gc.txt (team-scaling + join-time
-#                                                policy tables)
-#   ablation_internal_gc -> BENCH_internal_gc.txt (internal-heap collection
-#                                                policy sweep + controls)
+#   ablations            -> BENCH_ablations.json (every row of the six
+#                                                ablation tables: promotion,
+#                                                finegrained, gc-budget, grain,
+#                                                internal-gc, join-gc; each
+#                                                with its setting label)
+#   ablation_parallel_gc -> BENCH_parallel_gc.txt (team-scaling table)
 #   ablation_oom         -> BENCH_oom.txt        (bounded-memory degradation
 #                                                curve + allocation-fault sweep)
 #   serve                -> BENCH_serve.json     (steady-state serving: req/s,
@@ -86,8 +90,8 @@ fi
 
 cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
-  --target micro_ops fig08_op_costs figures ablation_parallel_gc \
-           ablation_internal_gc ablation_oom serve >/dev/null
+  --target micro_ops fig08_op_costs figures ablations ablation_parallel_gc \
+           ablation_oom serve >/dev/null
 
 # A filtered run is a subset: never let it overwrite the committed
 # baselines that later perf PRs (and CI's asserts) diff against.
@@ -98,13 +102,7 @@ if [ -n "$FILTER" ]; then
        "(committed baselines untouched)"
 fi
 
-BM_ARGS=(
-  "--benchmark_out=$OUT_DIR/BENCH_micro.json"
-  "--benchmark_out_format=json"
-)
-# Single runs of a row swing by up to +-40 % on this hardware, so the
-# full recording keeps the median of five repetitions (perf_diff.py
-# gates on the median aggregate).
+BM_ARGS=("--benchmark_out_format=json")
 if [ "$QUICK" -eq 1 ]; then
   BM_ARGS+=("--benchmark_min_time=0.05")
 else
@@ -122,7 +120,46 @@ PIN=()
 if command -v taskset >/dev/null; then
   PIN=(taskset -c 0)
 fi
-${PIN[@]+"${PIN[@]}"} "$BUILD/micro_ops" "${BM_ARGS[@]}"
+# Two pinned processes of one binary differ by up to 2x on some rows,
+# more than five repetitions inside one process do, so the full
+# recording runs five processes and keeps each row's median of their
+# medians (perf_diff.py gates on the median aggregate), and prints each
+# row's spread across them.
+if [ "$QUICK" -eq 1 ]; then
+  ${PIN[@]+"${PIN[@]}"} "$BUILD/micro_ops" "${BM_ARGS[@]}" \
+    "--benchmark_out=$OUT_DIR/BENCH_micro.json"
+else
+  MICRO_RUNS=()
+  for i in 1 2 3 4 5; do
+    ${PIN[@]+"${PIN[@]}"} "$BUILD/micro_ops" "${BM_ARGS[@]}" \
+      "--benchmark_out=$BUILD/micro_ops.$i.json" >/dev/null
+    MICRO_RUNS+=("$BUILD/micro_ops.$i.json")
+  done
+  python3 - "$OUT_DIR/BENCH_micro.json" "${MICRO_RUNS[@]}" <<'EOF'
+import json
+import sys
+
+out, runs = sys.argv[1], [json.load(open(p)) for p in sys.argv[2:]]
+medians = {}
+for doc in runs:
+    for b in doc["benchmarks"]:
+        if b.get("aggregate_name") == "median":
+            medians.setdefault(b["run_name"], []).append(b)
+rows = []
+print(f"{'micro_ops row':<32} {'median':>10} {'min':>10} {'max':>10}"
+      f" {'spread':>7}  (cpu_time of {len(runs)} processes' medians)")
+for name, bs in medians.items():
+    cpu = [b["cpu_time"] for b in bs]
+    row = dict(sorted(bs, key=lambda b: b["cpu_time"])[len(bs) // 2])
+    row["process_cpu_times"] = cpu
+    rows.append(row)
+    mid = row["cpu_time"]
+    print(f"{name:<32} {mid:10.2f} {min(cpu):10.2f} {max(cpu):10.2f}"
+          f" {100 * (max(cpu) - min(cpu)) / mid:6.1f}%")
+json.dump({"context": runs[0]["context"], "benchmarks": rows},
+          open(out, "w"), indent=2)
+EOF
+fi
 
 FIG08_ARGS=()
 if [ "$QUICK" -eq 1 ]; then
@@ -146,9 +183,24 @@ if [ -n "$FILTER" ]; then
 fi
 "$BUILD/figures" "${FIGURES_ARGS[@]}"
 
-# Parallel-GC baseline: Part 1 team scaling of one-heap evacuation,
-# Part 2 join-time policy. Kernel-agnostic, so a --bench filter skips
-# it rather than recording a half-empty table.
+# Ablation baseline: every row of the six ablation tables, each
+# configuration measured once and checked against its kernel's first
+# row (the driver exits nonzero on a mismatch or a broken internal-gc
+# invariant, so this is a correctness gate too). Its kernel set differs
+# from figures', so a --bench filter skips it.
+if [ -z "$FILTER" ]; then
+  ABL_ARGS=("--procs=2" "--json=$OUT_DIR/BENCH_ablations.json")
+  if [ "$QUICK" -eq 1 ]; then
+    ABL_ARGS+=("--quick")
+  else
+    ABL_ARGS+=("--scale=0.25" "--runs=3")
+  fi
+  "$BUILD/ablations" "${ABL_ARGS[@]}"
+fi
+
+# Parallel-GC baseline: team scaling of one-heap evacuation.
+# Kernel-agnostic, so a --bench filter skips it rather than recording a
+# half-empty table.
 if [ -z "$FILTER" ]; then
   PGC_ARGS=("--procs=2")
   if [ "$QUICK" -eq 1 ]; then
@@ -158,20 +210,6 @@ if [ -z "$FILTER" ]; then
   fi
   "$BUILD/ablation_parallel_gc" "${PGC_ARGS[@]}" \
     | tee "$OUT_DIR/BENCH_parallel_gc.txt"
-fi
-
-# Internal-heap collection baseline: policy sweep over the promoting
-# imperative kernels plus the zero-promotion controls. Kernel set is
-# fixed, so a --bench filter skips it like the parallel_gc section.
-if [ -z "$FILTER" ]; then
-  IGC_ARGS=("--procs=2")
-  if [ "$QUICK" -eq 1 ]; then
-    IGC_ARGS+=("--quick")
-  else
-    IGC_ARGS+=("--scale=0.25" "--runs=3")
-  fi
-  "$BUILD/ablation_internal_gc" "${IGC_ARGS[@]}" \
-    | tee "$OUT_DIR/BENCH_internal_gc.txt"
 fi
 
 # Bounded-memory baseline: per-kernel degradation curve (budgets as
@@ -227,9 +265,9 @@ fi
 echo
 echo "results written: $OUT_DIR/BENCH_micro.json, $OUT_DIR/BENCH_fig08.txt," \
      "$OUT_DIR/BENCH_runtimes.json" \
-     "${FILTER:+(parallel_gc + internal_gc + oom sections skipped under --bench)}"
+     "${FILTER:+(ablation, oom and serve sections skipped under --bench)}"
 if [ -z "$FILTER" ]; then
-  echo "                 + $OUT_DIR/BENCH_parallel_gc.txt," \
-       "$OUT_DIR/BENCH_internal_gc.txt, $OUT_DIR/BENCH_oom.txt," \
+  echo "                 + $OUT_DIR/BENCH_ablations.json," \
+       "$OUT_DIR/BENCH_parallel_gc.txt, $OUT_DIR/BENCH_oom.txt," \
        "$OUT_DIR/BENCH_serve.json, $OUT_DIR/BENCH_global_gc.txt"
 fi

@@ -347,13 +347,13 @@ bool acquire_throws(ChunkPool& pool, std::size_t bytes) {
 }
 
 // Every size class, starters and full size alike, must recycle through
-// the per-thread caches and the shared list with exact accounting:
+// its free list with exact accounting:
 // pooled chunks are not live, reuse hands back the same chunks, a
 // budget hit throws before anything is popped, and the chunk_alloc
 // failpoint fires only when a fresh slot is carved (so the OOM fault
 // sweeps still aim at memory taken from the OS).
 PARMEM_TEST(chunkpool_sharded_cache_accounting) {
-  // More than one shard's worth per class, so the shared list is used.
+  // Many chunks per class at once, released and reused as a batch.
   constexpr std::size_t kHeld = 12;
   for (std::size_t bytes = kMinChunkBytes; bytes <= kChunkBytes; bytes <<= 1) {
     ChunkPool pool;
@@ -480,7 +480,7 @@ PARMEM_TEST(chunkpool_cross_class_reuse_and_trim) {
   for (Chunk* c : full) {
     resident += resident_pages(c, kChunkBytes);
   }
-  // Only what the calling thread's cache shard holds stays resident.
+  // No free slot keeps its pages.
   CHECK(resident <= 8 * (kChunkBytes / page));
   CHECK_EQ(pool.live_bytes(), 0u);
 
