@@ -36,18 +36,18 @@ std::vector<Object*> build_heap(Heap& heap, std::size_t target_bytes,
     // whole heap through wide (parallelism-friendly) subgraphs.
     const auto np = static_cast<std::uint32_t>(1 + rnd(3));
     const auto nn = static_cast<std::uint32_t>(1 + rnd(24));
-    void* mem = heap.bump_raw(object_bytes(np, nn));
-    Object* o = init_object(mem, np, nn);
+    Object* o = heap.bump_alloc(np, nn);
+    o->zero_fields();
     for (std::uint32_t k = 0; k < nn; ++k) {
-      o->store_i64_plain(k, static_cast<std::int64_t>(rnd(1u << 30)));
+      o->set_scalar(k, static_cast<std::int64_t>(rnd(1u << 30)));
     }
     const std::size_t window = objs.size() < 4096 ? objs.size() : 4096;
     for (std::uint32_t k = 0; k < np; ++k) {
       if (window > 0 && rnd(5) != 0) {
-        o->store_ptr_plain(k, objs[objs.size() - 1 - rnd(window)]);
+        o->set_ptr_relaxed(k, objs[objs.size() - 1 - rnd(window)]);
       }
     }
-    used += object_bytes(np, nn);
+    used += o->size();
     objs.push_back(o);
   }
   std::vector<Object*> roots;
@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
       // describe the same work.
       std::vector<Object*> roots =
           build_heap(heap, heap_bytes, opt.sizes.seed);
-      core::ParallelCollector pc(pool, {&heap},
-                                 core::ParallelGcOptions{team, 128});
+      core::ParallelCollector pc(pool, &heap, team);
       Timer timer;
       core::ParallelGcOutcome run_out = pc.collect([&roots](auto&& f) {
         for (Object*& root : roots) {

@@ -6,7 +6,7 @@
 // What makes an internal heap collectable without copying anything
 // else: references into heap H can only live in
 //
-//   1. H itself (the ordinary Cheney scan),
+//   1. H itself (the evacuation's own scan of its copies),
 //   2. the root frames of H's owner and of every task below it,
 //   3. pointer fields of objects in H's DESCENDANT heaps (pointers up
 //      the tree are always legal, so any descendant object may point
@@ -20,7 +20,7 @@
 // cousin can only reach shared data through a common ancestor of both
 // tasks -- which is then an ancestor of H, not H. So the root set is
 // "all frames + descendant fields + descendant forwarding words", and
-// collect_stopped (core/gc_parallel.hpp: the leaf collector, or a
+// collect_stopped (core/gc_parallel.hpp: the driver, alone or with a
 // team of parked mutators) evacuates H against it unchanged: survivors
 // keep their depth and heap, so the zero/one-check barrier invariants
 // are untouched, and forwarding chains that used to pass through H are
@@ -30,7 +30,7 @@
 // conservative (descendant garbage retains what it references in H)
 // but sound; descendant leaves have their own leaf collections.
 //
-// Allocation faults: both evacuators run in collector context
+// Allocation faults: the evacuation runs in collector context
 // (core/failpoint.hpp GcAllocScope), so heap budgets and injected
 // faults never fire inside an internal collection -- which is what
 // lets the emergency cascade run collections to RECOVER from a budget

@@ -1,25 +1,29 @@
-// Team-based parallel heap evacuation -- the collection completion the
-// paper's Section 5 plans ("each such collection is sequential" is
-// team=1 here). A team of workers evacuates the live graph of one or
-// more quiesced heaps into fresh to-space chunks:
+// Team-based heap evacuation, the one evacuator of a stopped world --
+// the collection completion the paper's Section 5 plans. The paper's
+// sequential collector ("each such collection is sequential") is a
+// team of one here. A team of workers evacuates the live graph of one
+// quiesced heap:
 //
 //   - ownership claims: a worker claims an object by CASing its
 //     forwarding word null -> kBusy (core/promote.hpp's fine-grained
 //     encoding, reused verbatim), copies it, then publishes the real
 //     forwarding pointer. Losers chase the winner's pointer; every
-//     lost CAS is counted in claim_conflicts.
+//     lost CAS is counted in claim_conflicts. A team of one has no
+//     one to race and copies without claiming.
 //   - grey packets: copied objects are batched into fixed-size packets
 //     on per-worker deques; a worker out of local packets steals the
 //     oldest packet from a teammate (FIFO end, like core/sched.hpp).
-//   - per-worker to-space buffers: each worker copies into its own
-//     Heap, so evacuation never contends on a shared bump pointer; the
-//     buffers are spliced into the target heap (Heap::merge_from) when
-//     the team terminates.
+//   - to-space: worker 0 (the driver) copies into the collected heap
+//     itself, as the leaf collector does, so survivors keep the heap's
+//     chunk-size step and its bump chunk stays open for the owner. Each
+//     recruit copies into a private Heap, so evacuation never contends
+//     on a shared bump pointer; those buffers are spliced into the heap
+//     (Heap::merge_from) when the team terminates.
 //
-// The caller guarantees the collected heaps are quiesced: no mutator
-// reads, writes, or allocates in them for the duration (a stopped
-// world in a runtime; a standalone bench or test heap). Tracing stops
-// at any chunk not owned by a collected heap, exactly like the leaf
+// The caller guarantees the collected heap is quiesced: no mutator
+// reads, writes, or allocates in it for the duration (a stopped world
+// in a runtime; a standalone bench or test heap). Tracing stops at any
+// chunk the collected heap does not own, exactly like the leaf
 // collector, and forwarding words of foreign objects are only ever
 // chased, never claimed.
 //
@@ -33,17 +37,16 @@
 //     finish()), so a pause puts stopped mutators to work.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <stdexcept>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/deque.hpp"
@@ -60,15 +63,9 @@ namespace parmem {
 
 namespace core {
 
-struct ParallelGcOptions {
-  unsigned team_size = 1;            // workers evacuating in parallel
-  std::size_t packet_objects = 128;  // grey objects per work packet
-};
-
 struct ParallelGcWorkerStats {
   std::uint64_t objects_copied = 0;
   std::uint64_t bytes_copied = 0;
-  std::uint64_t packets_drained = 0;
   std::uint64_t packets_stolen = 0;
   std::uint64_t claim_conflicts = 0;  // lost forwarding-word CAS claims
   std::uint64_t cpu_ns = 0;  // thread CPU time in run_worker(): copy work
@@ -76,27 +73,19 @@ struct ParallelGcWorkerStats {
 };
 
 struct ParallelGcOutcome {
-  ParallelGcWorkerStats totals;                  // summed over the team
-  std::vector<ParallelGcWorkerStats> per_worker;
+  ParallelGcWorkerStats totals;     // summed over the team
+  std::uint64_t driver_cpu_ns = 0;  // slot 0's share of totals.cpu_ns
 };
 
 class ParallelCollector {
   struct Worker;  // defined below; named in member signatures above it
 
  public:
-  ParallelCollector(ChunkPool& pool, std::vector<Heap*> heaps,
-                    ParallelGcOptions opts)
-      : pool_(&pool), heaps_(std::move(heaps)), opts_(opts) {
-    if (opts_.team_size == 0) {
-      opts_.team_size = 1;
-    }
-    if (opts_.packet_objects < 8) {
-      opts_.packet_objects = 8;
-    }
-    if (heaps_.empty()) {
-      throw std::invalid_argument("ParallelCollector needs >= 1 heap");
-    }
-  }
+  static constexpr std::size_t kPacketObjects = 128;  // greys per packet
+
+  // Evacuates `heap` with `team` workers (0 counts as 1).
+  ParallelCollector(ChunkPool& pool, Heap* heap, unsigned team)
+      : pool_(&pool), heap_(heap), team_(team == 0 ? 1 : team) {}
 
   ParallelCollector(const ParallelCollector&) = delete;
   ParallelCollector& operator=(const ParallelCollector&) = delete;
@@ -110,17 +99,17 @@ class ParallelCollector {
     }
   }
 
-  unsigned team_size() const { return opts_.team_size; }
+  unsigned team_size() const { return team_; }
 
   // One-call surface: evacuate with a self-spawned team. root_iter(fn)
   // must call fn(Object** slot) for every root slot of the collected
-  // heaps; slots are rewritten in place when their referent moves.
+  // heap; slots are rewritten in place when their referent moves.
   template <class RootIter>
   ParallelGcOutcome collect(RootIter&& root_iter) {
     prepare(root_iter);
     std::vector<std::thread> team;
-    team.reserve(opts_.team_size - 1);
-    for (unsigned i = 1; i < opts_.team_size; ++i) {
+    team.reserve(team_ - 1);
+    for (unsigned i = 1; i < team_; ++i) {
       team.emplace_back([this, i] { run_worker(i); });
     }
     run_worker(0);
@@ -131,49 +120,65 @@ class ParallelCollector {
   }
 
   // Split surface for runtimes that bring their own team: the driver
-  // calls prepare(), then EXACTLY team_size workers (the driver plus
-  // recruits) each call run_worker with a distinct slot in
-  // [0, team_size); finish() may be called once the driver's own
-  // run_worker returns (it waits for stragglers).
+  // calls prepare(), then EXACTLY team_size workers (the driver in slot
+  // 0, plus recruits) each call run_worker with a distinct slot in
+  // [0, team_size); the driver calls finish() once its own run_worker
+  // returns (it waits for stragglers).
+  //
+  // prepare() flips the heap to from-space and forwards each root as
+  // root_iter enumerates it, as worker 0 on the calling thread: the
+  // slot is read while the enumeration still has it in cache, and the
+  // root objects' copies become worker 0's grey packets, which the
+  // recruits steal once they run. Like a team abort, an OS-level
+  // allocation failure here (the only kind in collector context)
+  // throws and loses the heap.
   template <class RootIter>
   void prepare(RootIter&& root_iter) {
-    for (Heap* h : heaps_) {
-      Chunk* c = h->detach_chunks();
-      while (c != nullptr) {
-        Chunk* next = c->next;
-        // c->heap stays: it is the ownership test
-        c->from_space.store(true, std::memory_order_relaxed);
-        c->next = from_;
-        from_ = c;
-        c = next;
+    from_ = heap_->detach_chunks();
+    for (Chunk* c = from_; c != nullptr; c = c->next) {
+      // c->heap stays: it is the ownership test
+      c->from_space.store(true, std::memory_order_relaxed);
+    }
+    workers_ = std::make_unique<Worker[]>(team_);
+    for (unsigned i = 0; i < team_; ++i) {
+      Worker& w = workers_[i];
+      w.index = i;
+      if (i == 0) {
+        w.to = heap_;
+      } else {
+        w.buffer = std::make_unique<Heap>(nullptr, heap_->depth(), pool_);
+        w.to = w.buffer.get();
       }
     }
-    roots_.clear();
-    root_iter([this](Object** slot) { roots_.push_back(slot); });
-    workers_.clear();
-    for (unsigned i = 0; i < opts_.team_size; ++i) {
-      workers_.push_back(std::make_unique<Worker>());
-      Worker& w = *workers_.back();
-      w.index = i;
-      w.to = std::make_unique<Heap>(nullptr, heaps_[0]->depth(), pool_);
-    }
     state_.store(0, std::memory_order_relaxed);
-    root_cursor_.store(0, std::memory_order_relaxed);
     exited_.store(0, std::memory_order_relaxed);
     aborted_.store(false, std::memory_order_relaxed);
     abort_err_ = nullptr;
+    failpoint::GcAllocScope gc_scope;
+    Worker& driver = workers_[0];
+    root_iter([this, &driver](Object** slot) {
+      Object* cur =
+          std::atomic_ref<Object*>(*slot).load(std::memory_order_relaxed);
+      if (cur == nullptr) {
+        return;
+      }
+      Object* fwd = forward(driver, cur);
+      if (fwd != cur) {
+        std::atomic_ref<Object*>(*slot).store(fwd, std::memory_order_relaxed);
+      }
+    });
   }
 
   // Never throws: an allocation failure mid-evacuation (only possible
   // when the OS itself refuses memory -- the budget and injected
   // faults are exempt in collector context) aborts the whole team via
   // aborted_, and finish() rethrows it. That guarantees no hang and no
-  // stranded kBusy word even then; the collected heaps are lost, so
-  // the caller must treat the rethrow as fatal for the computation.
+  // stranded kBusy word even then; the collected heap is lost, so the
+  // caller must treat the rethrow as fatal for the computation.
   void run_worker(unsigned slot) {
     failpoint::GcAllocScope gc_scope;
     phase::PhaseScope evac_scope(phase::Phase::kParallelEvac);
-    Worker& ws = *workers_[slot];
+    Worker& ws = workers_[slot];
     const std::uint64_t cpu0 = thread_cpu_ns();
     try {
       run_worker_impl(ws);
@@ -192,35 +197,8 @@ class ParallelCollector {
 
  private:
   void run_worker_impl(Worker& ws) {
-    // Phase 1: forward the roots, batch-claimed off a shared cursor.
-    // Claims make duplicate and cross-worker aliases idempotent.
-    const std::size_t nroots = roots_.size();
-    for (;;) {
-      if (aborted_.load(std::memory_order_acquire)) {
-        return;
-      }
-      std::size_t i = root_cursor_.fetch_add(kRootBatch,
-                                             std::memory_order_relaxed);
-      if (i >= nroots) {
-        break;
-      }
-      std::size_t e = i + kRootBatch < nroots ? i + kRootBatch : nroots;
-      for (; i < e; ++i) {
-        Object** slot_p = roots_[i];
-        Object* cur =
-            std::atomic_ref<Object*>(*slot_p).load(std::memory_order_relaxed);
-        if (cur == nullptr) {
-          continue;
-        }
-        Object* fwd = forward(ws, cur);
-        if (fwd != cur) {
-          std::atomic_ref<Object*>(*slot_p).store(fwd,
-                                                  std::memory_order_relaxed);
-        }
-      }
-    }
-    // Phase 2: drain grey packets until the whole team is idle with
-    // nothing queued. A worker only goes idle with empty hands (its
+    // Drain grey packets until the whole team is idle with nothing
+    // queued. A worker only goes idle with empty hands (its
     // partial open packet drained, its private overflow list empty),
     // so idle==team && queued==0 is a stable no-work-exists state.
     for (;;) {
@@ -236,10 +214,12 @@ class ParallelCollector {
         scan_object(ws, o);
         continue;
       }
-      Packet* p = pop_local(ws);
-      if (p == nullptr && ws.open != nullptr && ws.open->count > 0) {
-        p = ws.open;
-        ws.open = nullptr;
+      // The open packet (never empty) first: it is private and hot,
+      // and the full packets left queued stay stealable.
+      Packet* p = ws.open;
+      ws.open = nullptr;
+      if (p == nullptr) {
+        p = pop_local(ws);
       }
       if (p == nullptr) {
         p = steal(ws);
@@ -260,7 +240,7 @@ class ParallelCollector {
           state_.fetch_sub(kIdleOne, std::memory_order_acq_rel);
           break;  // visible work: rejoin the loop
         }
-        if (idle_of(s) == opts_.team_size) {
+        if (idle_of(s) == team_) {
           done = true;  // every worker idle, nothing queued: terminate
           break;
         }
@@ -283,7 +263,7 @@ class ParallelCollector {
     // Stragglers are past their last packet; still escalate to yield
     // in case one was preempted right before its exited_ store.
     for (unsigned spins = 0;
-         exited_.load(std::memory_order_acquire) != opts_.team_size;
+         exited_.load(std::memory_order_acquire) != team_;
          ++spins) {
       if (spins < 64) {
         cpu_relax();
@@ -291,42 +271,34 @@ class ParallelCollector {
         std::this_thread::yield();
       }
     }
+    // Every survivor now sits in the heap. On an abort too: the
+    // rewritten roots point into the recruits' buffers.
+    for (unsigned i = 1; i < team_; ++i) {
+      heap_->merge_from(*workers_[i].buffer);
+    }
     if (aborted_.load(std::memory_order_acquire)) {
       // A worker failed (OS-level allocation failure in collector
-      // context). The collected heaps are not reconstructible; keep
-      // every to-space buffer reachable by merging it into the target
-      // (roots already rewritten point there), put from-space back so
-      // nothing leaks, and surface the failure to the caller.
-      Heap* target = heaps_.front();
-      for (auto& w : workers_) {
-        target->merge_from(*w->to);
-      }
+      // context). The collected heap is not reconstructible; put
+      // from-space back so nothing leaks and surface the failure.
       release_from_space();
       std::rethrow_exception(abort_err_);
     }
     ParallelGcOutcome out;
-    out.per_worker.reserve(workers_.size());
-    Heap* target = heaps_.front();
-    for (auto& w : workers_) {
-      target->merge_from(*w->to);
-      out.per_worker.push_back(w->stats);
-      out.totals.objects_copied += w->stats.objects_copied;
-      out.totals.bytes_copied += w->stats.bytes_copied;
-      out.totals.packets_drained += w->stats.packets_drained;
-      out.totals.packets_stolen += w->stats.packets_stolen;
-      out.totals.claim_conflicts += w->stats.claim_conflicts;
-      out.totals.cpu_ns += w->stats.cpu_ns;
+    for (unsigned i = 0; i < team_; ++i) {
+      const ParallelGcWorkerStats& w = workers_[i].stats;
+      out.totals.objects_copied += w.objects_copied;
+      out.totals.bytes_copied += w.bytes_copied;
+      out.totals.packets_stolen += w.packets_stolen;
+      out.totals.claim_conflicts += w.claim_conflicts;
+      out.totals.cpu_ns += w.cpu_ns;
     }
-    for (Heap* h : heaps_) {
-      // Every survivor now sits in the target.
-      h->note_collected(h == target ? out.totals.bytes_copied : 0);
-    }
+    out.driver_cpu_ns = workers_[0].stats.cpu_ns;
+    heap_->note_collected(out.totals.bytes_copied);
     release_from_space();
     return out;
   }
 
  private:
-  static constexpr std::size_t kRootBatch = 64;
   static constexpr std::uint64_t kIdleOne = 1;
   static constexpr std::uint64_t kQueuedOne = std::uint64_t{1} << 32;
   static std::uint32_t idle_of(std::uint64_t s) {
@@ -344,7 +316,8 @@ class ParallelCollector {
 
   struct alignas(64) Worker {
     unsigned index = 0;
-    std::unique_ptr<Heap> to;  // private to-space buffer: no contention
+    Heap* to = nullptr;  // slot 0: the collected heap; a recruit: buffer
+    std::unique_ptr<Heap> buffer;  // a recruit's private to-space
     Packet* open = nullptr;    // partial packet being filled
     Packet* free = nullptr;    // recycled packets
     std::vector<Object*> overflow;  // degraded-mode greys (no packets)
@@ -358,15 +331,6 @@ class ParallelCollector {
     ParallelGcWorkerStats stats;
   };
 
-  bool collected(const Heap* h) const {
-    for (const Heap* x : heaps_) {
-      if (x == h) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   // Evacuate-or-resolve one reference. Returns the surviving address:
   // untouched for foreign (non-collected) objects, the to-space copy
   // otherwise. Exactly one worker wins the claim CAS per object.
@@ -375,7 +339,7 @@ class ParallelCollector {
       p = Object::chase(p);  // spins past teammates' in-flight kBusy
       Chunk* c = chunk_of(p);
       if (!c->from_space.load(std::memory_order_relaxed) ||
-          !collected(c->heap.load(std::memory_order_relaxed))) {
+          c->heap.load(std::memory_order_relaxed) != heap_) {
         return p;  // foreign, or already a to-space copy
       }
       // Pre-reserve the to-space bytes BEFORE claiming: from claim_fwd
@@ -384,8 +348,8 @@ class ParallelCollector {
       // here, with the object still unclaimed and chaseable. (Object
       // headers are immutable, so reading the size pre-claim is safe.)
       ws.to->reserve(Object::size_bytes(p->nptr(), p->nscalar()));
-      if (p->claim_fwd()) {
-        break;
+      if (team_ == 1 || p->claim_fwd()) {
+        break;  // a team of one has no teammate to race: no claim needed
       }
       ws.stats.claim_conflicts += 1;  // lost: chase the winner's copy
     }
@@ -412,7 +376,6 @@ class ParallelCollector {
   }
 
   void drain(Worker& ws, Packet* p) {
-    ws.stats.packets_drained += 1;
     for (std::uint32_t i = 0; i < p->count; ++i) {
       scan_object(ws, p->slots()[i]);
     }
@@ -436,7 +399,7 @@ class ParallelCollector {
       return nullptr;
     }
     void* mem = std::malloc(sizeof(Packet) +
-                            opts_.packet_objects * sizeof(Object*));
+                            kPacketObjects * sizeof(Object*));
     if (mem == nullptr) {
       return nullptr;
     }
@@ -461,7 +424,7 @@ class ParallelCollector {
         } catch (...) {
           throw OutOfMemory("packet_alloc",
                             sizeof(Packet) +
-                                opts_.packet_objects * sizeof(Object*),
+                                kPacketObjects * sizeof(Object*),
                             pool_->live_bytes(), pool_->budget(),
                             pool_->peak_bytes());
         }
@@ -470,7 +433,7 @@ class ParallelCollector {
       ws.open = p;
     }
     p->slots()[p->count++] = n;
-    if (p->count == opts_.packet_objects) {
+    if (p->count == kPacketObjects) {
       ws.deque.push(p);
       state_.fetch_add(kQueuedOne, std::memory_order_acq_rel);
       ws.open = nullptr;
@@ -490,8 +453,8 @@ class ParallelCollector {
   // A lost steal CAS reads as an empty victim; the drain loop retries
   // while state_ still shows queued packets, so nothing is missed.
   Packet* steal(Worker& ws) {
-    for (unsigned k = 1; k < opts_.team_size; ++k) {
-      Worker& v = *workers_[(ws.index + k) % opts_.team_size];
+    for (unsigned k = 1; k < team_; ++k) {
+      Worker& v = workers_[(ws.index + k) % team_];
       Packet* p = v.deque.steal();
       if (p != nullptr) {
         state_.fetch_sub(kQueuedOne, std::memory_order_acq_rel);
@@ -511,14 +474,12 @@ class ParallelCollector {
   }
 
   ChunkPool* pool_;
-  std::vector<Heap*> heaps_;  // collected set; heaps_[0] receives survivors
-  ParallelGcOptions opts_;
+  Heap* heap_;  // collected; receives every survivor
+  unsigned team_;
 
   Chunk* from_ = nullptr;  // detached from-space chunks, released at finish
-  std::vector<Object**> roots_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<Worker[]> workers_;  // slot 0 is the driver
   std::atomic<std::uint64_t> state_{0};  // [queued packets : idle workers]
-  std::atomic<std::size_t> root_cursor_{0};
   std::atomic<unsigned> exited_{0};
   std::atomic<bool> aborted_{false};  // a worker threw; team terminates
   SpinLock abort_lock_;
@@ -531,20 +492,18 @@ class ParallelCollector {
 
 // Collect `heaps` on a world stopped through `gate` (the caller holds a
 // won StopGuard): every heap after the first is merged into heaps[0],
-// which is then evacuated and receives every survivor. With max_team
-// <= 1 the sequential leaf collector runs. Otherwise the driver
+// which is then evacuated and receives every survivor. The driver
 // evacuates with up to max_team - 1 parked mutators recruited as its
-// team -- alone when nobody is parked: on StwRuntime's merged heap a
-// team of one stops the world about 10 % shorter than the leaf
-// collector (serve at P=2 on a 4-vCPU VM: 1.65 against 1.83 ms per
-// stop). `roots(fn)` calls fn(Object** slot) on every root slot of the
-// collected heaps. Bills gc_count, gc_bytes_copied and gc_ns (the
-// driver's and the recruits' CPU time) once, and records one pause
-// whose kind follows the driver's phase; both clocks start before the
-// merge, so the pause covers the whole stopped collection. Returns the
-// live bytes evacuated. An allocation failure of the team (only an
-// OS-level one: collector context is exempt from budgets and injected
-// faults) rethrows here, fatal for the computation.
+// team, and alone when max_team is 0 or 1 or nobody is parked: the
+// paper's sequential collector is that team of one. `roots(fn)` calls
+// fn(Object** slot) on every root slot of the collected heaps. Bills
+// gc_count, gc_bytes_copied and gc_ns (the driver's and the recruits'
+// CPU time) once, and records one pause whose kind follows the
+// driver's phase; both clocks start before the merge, so the pause
+// covers the whole stopped collection. Returns the live bytes
+// evacuated. An allocation failure of the team (only an OS-level one:
+// collector context is exempt from budgets and injected faults)
+// rethrows here, fatal for the computation.
 template <class RootIter>
 std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
                             const std::vector<Heap*>& heaps, unsigned max_team,
@@ -557,15 +516,10 @@ std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
   if (victim->chunks() == nullptr) {
     return 0;  // nothing allocated since the last collection
   }
-  std::size_t live = 0;
-  std::uint64_t team_cpu_ns = 0;
-  if (max_team <= 1) {
-    live = leaf_gc_detail::evacuate(victim, roots);
-  } else {
-    const unsigned parked = gate.parked();
-    const unsigned team = (parked < max_team - 1 ? parked : max_team - 1) + 1;
-    core::ParallelCollector pc(pool, std::vector<Heap*>{victim},
-                               core::ParallelGcOptions{team, 128});
+  core::ParallelGcOutcome out;
+  {
+    const unsigned team = std::min(gate.parked() + 1, std::max(max_team, 1u));
+    core::ParallelCollector pc(pool, victim, team);
     pc.prepare(roots);
     gate.offer_team(
         [](void* arg, unsigned slot) {
@@ -573,7 +527,6 @@ std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
         },
         &pc, 1, team);
     pc.run_worker(0);
-    core::ParallelGcOutcome out;
     try {
       out = pc.finish();  // waits for every recruit; rethrows a team abort
     } catch (...) {
@@ -581,14 +534,13 @@ std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
       throw;
     }
     gate.retract_team();
-    live = out.totals.bytes_copied;
-    // The pause's own clock covers the driver's whole span (merge,
-    // prepare, its slot, finish: detaching and releasing from-space can
-    // outweigh the copying); add each recruit's slot.
-    team_cpu_ns = out.totals.cpu_ns - out.per_worker[0].cpu_ns;
   }  // the collector's teardown is part of the pause too
-  pause.finish(stats, live, /*kept=*/false, team_cpu_ns);
-  return live;
+  // The pause's own clock covers the driver's whole span (merge,
+  // prepare, its slot, finish: detaching and releasing from-space can
+  // outweigh the copying); add each recruit's slot.
+  pause.finish(stats, out.totals.bytes_copied, /*kept=*/false,
+               out.totals.cpu_ns - out.driver_cpu_ns);
+  return out.totals.bytes_copied;
 }
 
 }  // namespace parmem

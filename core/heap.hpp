@@ -30,6 +30,7 @@
 
 #include "core/failpoint.hpp"
 #include "core/object.hpp"
+#include "core/spin.hpp"
 #include "core/stats.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -102,30 +103,6 @@ inline Chunk* chunk_of(const Object* o) {
 inline Heap* heap_of(const Object* o) {
   return chunk_of(o)->heap.load(std::memory_order_relaxed);
 }
-
-// Polite spin: tells the core we are in a busy-wait so the sibling
-// hyperthread gets the pipeline. Shared by every spin site (SpinLock,
-// the scheduler's steal loop, GC-team termination detection).
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
-// Tiny spinlock guarding fine-grained remote bumps into an internal
-// heap; promotion critical sections are a handful of instructions.
-class SpinLock {
- public:
-  void lock() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-      cpu_relax();
-    }
-  }
-  void unlock() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-};
 
 // Per-runtime chunk recycler and the only source of chunk memory (see
 // the file comment for the slot layout). Each size class, 4 KiB to
@@ -651,19 +628,6 @@ class Heap {
     return o;
   }
 
-  // Header-agnostic bump: reserve `size` bytes (already object-aligned,
-  // e.g. from object_bytes()) without writing a header. Same mutual
-  // exclusion rules as bump_alloc.
-  char* bump_raw(std::size_t size) {
-    char* p = top_;
-    char* nt = p + size;
-    if (__builtin_expect(nt > end_, 0)) {
-      return overflow_raw(size);
-    }
-    top_ = nt;
-    return p;
-  }
-
   // Guarantee the next bump of `size` bytes takes the fast path: opens
   // a new chunk now if the current one lacks room. Any OutOfMemory
   // surfaces HERE, with the heap untouched -- which is what lets
@@ -759,30 +723,12 @@ class Heap {
     live_estimate_ = 0;
   }
 
-  // Adopt an externally built, fully retired chunk list (obj_end valid
-  // on every chunk; `tail` terminates it). The current list must have
-  // been detached or released first. `allocated` is the object bytes
-  // the list carries; the bump pointer stays closed, so the next
-  // bump_alloc opens a fresh chunk.
-  void adopt_chunks(Chunk* head, Chunk* tail, std::size_t allocated) {
-    assert(head_ == nullptr && "detach or release existing chunks first");
-    std::size_t bytes = 0;
-    for (Chunk* c = head; c != nullptr; c = c->next) {
-      c->heap.store(this, std::memory_order_relaxed);
-      c->from_space.store(false, std::memory_order_relaxed);
-      bytes += c->bytes;
-    }
-    head_ = head;
-    tail_ = tail;
-    top_ = end_ = nullptr;
-    bytes_ = bytes;
-    allocated_full_ = allocated;
-  }
-
  private:
   Object* overflow_alloc(std::uint32_t nptr, std::uint32_t nscalar,
                          std::size_t size) {
-    Object* o = reinterpret_cast<Object*>(overflow_raw(size));
+    open_new_chunk(size);
+    Object* o = reinterpret_cast<Object*>(top_);
+    top_ += size;
     o->init_header(nptr, nscalar);
     return o;
   }
@@ -815,13 +761,6 @@ class Heap {
     // big one would sit past the first kChunkBytes-aligned block, where
     // chunk_of()'s address mask no longer finds this header.
     end_ = c->oversized ? c->data() + size : c->data_limit();
-  }
-
-  char* overflow_raw(std::size_t size) {
-    open_new_chunk(size);
-    char* p = top_;
-    top_ += size;
-    return p;
   }
 
   // Cold identity: fixed after construction, read-only thereafter.

@@ -58,8 +58,8 @@ struct HierOptions {
   // Largest evacuation team for stopped-world collections (join,
   // internal and emergency; core/gc_parallel.hpp collect_stopped): up
   // to gc_parallel_team - 1 mutators parked by the stop are recruited
-  // to copy alongside the driver. 0 or 1 keeps them sequential, and
-  // so does a stop that finds nobody parked.
+  // to copy alongside the driver. With 0 or 1, or when the stop finds
+  // nobody parked, the driver evacuates alone (a team of one).
   unsigned gc_parallel_team = 0;
   // Hierarchy-aware internal-heap collection (core/gc_internal.hpp):
   // when a promotion pushes a heap's promoted-into bytes past this
@@ -540,7 +540,7 @@ class HierRuntime : public rtapi::RuntimeShell<HierOptions> {
       }
     };
     const std::size_t live = collect_stopped(
-        gate_, chunks_, {h}, std::max(1u, opts_.gc_parallel_team),
+        gate_, chunks_, {h}, opts_.gc_parallel_team,
         &stats_.local(), [&](auto&& fn) {
           detail::internal_gc_emit_roots(h, heaps, frame_roots, fn);
         });

@@ -43,7 +43,8 @@
 //     their own heap, whose words only their own task writes;
 //   - the parallel collector's forward (core/gc_parallel.hpp) copies
 //     only after winning claim_fwd, and a loser's chase sees the
-//     winner's non-null word and takes the acquire reload;
+//     winner's non-null word and takes the acquire reload (a team of
+//     one copies unclaimed: no other thread reads that heap's words);
 //   - internal and global collection run on a stopped world, ordered
 //     by the safepoint gate.
 #pragma once
@@ -99,12 +100,6 @@ class Object {
     std::atomic_ref<Object*>(ptrs()[i]).store(v, std::memory_order_release);
   }
   void set_ptr_relaxed(std::uint32_t i, Object* v) { ptrs()[i] = v; }
-
-  // Plain (barrier-free) stores for single-task graph construction
-  // outside any runtime Ctx -- standalone-heap builders in benches and
-  // tests. Not safe once the object is visible to another task.
-  void store_i64_plain(std::uint32_t i, std::int64_t v) { set_scalar(i, v); }
-  void store_ptr_plain(std::uint32_t i, Object* v) { set_ptr_relaxed(i, v); }
 
   // The forwarding word aliased as a plain pointer slot, so collectors
   // can treat stale promotion-forwarding edges as roots (a stale copy
@@ -178,22 +173,5 @@ static_assert(sizeof(Object) == Object::kHeaderBytes,
 static_assert(sizeof(std::atomic<Object*>) == sizeof(Object*) &&
                   alignof(std::atomic<Object*>) == alignof(Object*),
               "fwd_slot() aliases the atomic forwarding word as Object*");
-
-// Footprint of an object with `nptr` pointer and `nscalar` i64 fields
-// -- what raw allocators (Heap::bump_raw) must reserve.
-inline constexpr std::size_t object_bytes(std::uint32_t nptr,
-                                          std::uint32_t nscalar) {
-  return Object::size_bytes(nptr, nscalar);
-}
-
-// Place an object header over raw heap memory (bump_raw result)
-// and zero its fields.
-inline Object* init_object(void* mem, std::uint32_t nptr,
-                           std::uint32_t nscalar) {
-  Object* o = reinterpret_cast<Object*>(mem);
-  o->init_header(nptr, nscalar);
-  o->zero_fields();
-  return o;
-}
 
 }  // namespace parmem

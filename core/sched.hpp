@@ -41,10 +41,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/heap.hpp"  // SpinLock
 #include "core/phase.hpp"
 #include "core/profiler.hpp"
 #include "core/sig_io.hpp"  // sig_write / sig_write_i64 (hoisted from here)
+#include "core/spin.hpp"
 #include "core/trace.hpp"
 #include "deque.hpp"
 
@@ -203,12 +203,6 @@ class WorkStealPool {
   static std::pair<WorkStealPool*, unsigned>& tls() {
     static thread_local std::pair<WorkStealPool*, unsigned> slot{nullptr, 0};
     return slot;
-  }
-
-  static void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
   }
 
   static void back_off(unsigned idle) {
@@ -482,7 +476,8 @@ class SafepointGate {
   // fn(arg, slot) outside the gate lock, looping back for more until
   // the range is exhausted -- so one awake recruit claims any slots
   // late sleepers never get to, and every offered slot is guaranteed
-  // to run. The driver runs its own slot, waits for the whole team
+  // to run. An empty range (a team of one) installs nothing and wakes
+  // nobody. The driver runs its own slot, waits for the whole team
   // itself (ParallelCollector::finish spins until every slot exits),
   // and only then calls retract_team(), before end_stop().
   //
@@ -491,6 +486,9 @@ class SafepointGate {
   // there passes a trampoline that downcasts `arg`.
   void offer_team(void (*fn)(void*, unsigned), void* arg, unsigned next,
                   unsigned limit) {
+    if (next >= limit) {
+      return;
+    }
     std::lock_guard<std::mutex> g(mu_);
     team_fn_ = fn;
     team_arg_ = arg;

@@ -47,8 +47,8 @@ enum class PromotionMode {
      nothing. */                                                             \
   X(gc_kept)                                                                 \
   /* CPU time the collecting threads spent in collections                    \
-     (thread_cpu_ns): the sequential collector's own thread, or every        \
-     member of an evacuation team. Billed only by the leaf collector         \
+     (thread_cpu_ns): the leaf collector's own thread, or every member       \
+     of a stopped world's evacuation team. Billed only by the leaf collector \
      (core/gc_leaf.hpp) and collect_stopped. */                              \
   X(gc_ns)                                                                   \
   /* Wall time the world stood stopped: for each won stop, from every        \

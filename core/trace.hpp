@@ -36,12 +36,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/histogram.hpp"
 #include "core/phase.hpp"
 #include "core/sig_io.hpp"
+#include "core/spin.hpp"
 
 namespace parmem::trace {
 
@@ -143,34 +145,13 @@ class TraceRing {
 
 namespace detail {
 
-// Tiny test-and-set lock so this header does not pull in core/heap.hpp
-// (which owns the allocator SpinLock). Taken only on record paths that
-// are already microsecond-scale, and by quiescent-time readers.
-class TinyLock {
- public:
-  void lock() {
-    while (f_.exchange(true, std::memory_order_acquire)) {
-    }
-  }
-  void unlock() { f_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> f_{false};
-};
-
-struct LockGuard {
-  explicit LockGuard(TinyLock& l) : l_(l) { l_.lock(); }
-  ~LockGuard() { l_.unlock(); }
-  TinyLock& l_;
-};
-
 constexpr std::size_t kRingCap = 4096;
 
 // One per worker slot (same slot space as core/phase.hpp), allocated
 // lazily on the slot's first recorded event. The last-event summary is
 // lock-free atomics so the watchdog's signal handler can read it.
 struct Slot {
-  TinyLock mu;
+  SpinLock mu;
   TraceRing ring{kRingCap};
   Histogram hist[kKinds];
   std::atomic<std::uint8_t> last_kind{0xff};  // 0xff = none yet
@@ -233,7 +214,7 @@ inline void record(Ev kind, std::uint64_t start_ns, std::uint64_t dur_ns,
                     std::memory_order_relaxed);
   s.last_start_ns.store(start_ns, std::memory_order_relaxed);
   s.last_dur_ns.store(dur_ns, std::memory_order_relaxed);
-  detail::LockGuard g(s.mu);
+  std::lock_guard<SpinLock> g(s.mu);
   s.hist[static_cast<unsigned>(kind)].record(dur_ns);
   if (ring_enabled()) {
     s.ring.push(Event{start_ns, dur_ns, arg, kind});
@@ -287,7 +268,7 @@ inline Snapshot snapshot() {
     if (s == nullptr) {
       continue;
     }
-    detail::LockGuard g(s->mu);
+    std::lock_guard<SpinLock> g(s->mu);
     for (unsigned k = 0; k < kKinds; ++k) {
       out.by_kind[k].merge(s->hist[k]);
     }
@@ -306,7 +287,7 @@ inline void reset() {
     if (s == nullptr) {
       continue;
     }
-    detail::LockGuard g(s->mu);
+    std::lock_guard<SpinLock> g(s->mu);
     for (unsigned k = 0; k < kKinds; ++k) {
       s->hist[k].reset();
     }
@@ -365,7 +346,7 @@ inline bool write_json(const char* path) {
     if (s == nullptr) {
       continue;
     }
-    detail::LockGuard g(s->mu);
+    std::lock_guard<SpinLock> g(s->mu);
     dropped += s->ring.dropped();
     s->ring.for_each_oldest_first([&](const Event& e) {
       std::fprintf(

@@ -18,7 +18,7 @@
 // of copying on the order of the input size even for pure programs --
 // exactly the paper's Section 4.4 measurement.
 //
-// The global heap is collected by a stopped-world Cheney cycle (the
+// The global heap is collected by a stopped-world copying cycle (the
 // Doligez-Leroy-Gonthier "major collection" shape all local-heap
 // systems eventually grow): gc_global_threshold rings a doorbell once
 // that many bytes have been promoted since the last cycle, and the

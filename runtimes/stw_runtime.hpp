@@ -11,7 +11,7 @@
 //   fork2 join are deactivated and need not park) -- and
 //   collect_stopped (core/gc_parallel.hpp) merges every buffer into
 //   the driver's and evacuates it, with the parked mutators recruited
-//   as its team (alone when none is parked; sequentially at workers=1).
+//   as its team (alone when none is parked or at workers=1).
 //
 // The fast paths are as cheap as the sequential runtime's (the point of
 // this baseline), and fork2 is lock-free too: entering/leaving the

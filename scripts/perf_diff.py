@@ -27,7 +27,12 @@ format (auto-detected per file):
 
 A row REGRESSES when current > baseline * (1 + threshold) and the
 absolute growth also exceeds --abs-floor (so sub-nanosecond noise on
-fast-path rows cannot trip the gate). A */peak_bytes row must also grow
+fast-path rows cannot trip the gate). A google-benchmark baseline row
+that records its processes' medians in process_cpu_times (the way
+scripts/run_bench.sh writes BENCH_micro.json) is gated at the larger of
+--threshold and its own spread, (max - min) / median of those times:
+separate processes of one binary spread by up to a third on some rows,
+so a smaller move on such a row is not evidence of a change. A */peak_bytes row must also grow
 by more than one 256 KiB chunk: a peak counts whole chunks, and which
 worker touches one more decides it run to run. Improvements are
 reported, never fatal. Exit status: 0 clean, 1 regression(s), 2
@@ -58,9 +63,10 @@ CHUNK_BYTES = 256 * 1024
 
 def load_records(path):
     """Parse any format into ({row_name: numeric value}, format,
-    {record tag: identity}); the identity is a stats record's config
-    object or a runtimes row's checksum, and the map is empty for
-    benchmark JSON and for stats records without a config."""
+    {record tag: identity}, {row_name: spread}); the identity is a
+    stats record's config object or a runtimes row's checksum, and the
+    map is empty for benchmark JSON and for stats records without a
+    config. Only benchmark rows with process_cpu_times have a spread."""
     with open(path) as f:
         text = f.read()
     try:
@@ -68,10 +74,10 @@ def load_records(path):
     except json.JSONDecodeError:
         doc = None
     if isinstance(doc, dict) and "benchmarks" in doc:
-        return bench_rows(doc), "google-benchmark", {}
+        return bench_rows(doc), "google-benchmark", {}, bench_spreads(doc)
     if isinstance(doc, dict) and "runtimes" in doc:
         rows, checksums = runtimes_rows(doc)
-        return rows, "runtimes-json", checksums
+        return rows, "runtimes-json", checksums, {}
     # JSON-lines of per-runtime stats objects.
     rows = {}
     seen = {}
@@ -91,7 +97,20 @@ def load_records(path):
             rows[f"{tag}/{name}"] = val
     if not rows:
         raise ValueError(f"{path}: neither benchmark JSON nor stats JSONL")
-    return rows, "stats-jsonl", configs
+    return rows, "stats-jsonl", configs, {}
+
+
+def bench_spreads(doc):
+    """{row_name: (max - min) / median} of each row's process_cpu_times."""
+    spreads = {}
+    for b in doc["benchmarks"]:
+        times = b.get("process_cpu_times")
+        if times:
+            mid = statistics.median(times)
+            if mid > 0:
+                spreads[b.get("run_name", b["name"])] = \
+                    (max(times) - min(times)) / mid
+    return spreads
 
 
 def bench_rows(doc):
@@ -160,8 +179,8 @@ def main():
     args = ap.parse_args()
 
     try:
-        base, base_fmt, base_id = load_records(args.baseline)
-        cur, cur_fmt, cur_id = load_records(args.current)
+        base, base_fmt, base_id, base_spread = load_records(args.baseline)
+        cur, cur_fmt, cur_id, _ = load_records(args.current)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"perf_diff: {e}", file=sys.stderr)
         return 2
@@ -200,20 +219,25 @@ def main():
         floor = args.abs_floor
         if name.endswith("/peak_bytes"):
             floor = max(floor, CHUNK_BYTES)
+        gate = max(args.threshold, base_spread.get(name, 0.0))
         flag = ""
-        if c > b * (1.0 + args.threshold) and (c - b) > floor:
+        if c > b * (1.0 + gate) and (c - b) > floor:
             flag = "  REGRESSION"
             regressions.append(name)
-        elif b > c * (1.0 + args.threshold) and (b - c) > floor:
+        elif b > c * (1.0 + gate) and (b - c) > floor:
             flag = "  improved"
+        elif name in base_spread and abs(delta) > args.threshold:
+            flag = f"  within baseline spread {100 * gate:.1f}%"
         print(f"{name:<{width}} {b:12.3f} {c:12.3f} {100 * delta:+7.2f}%"
               f"{flag}")
 
     if regressions:
         print(f"\nFAIL: {len(regressions)} regression(s) beyond "
-              f"{100 * args.threshold:.1f}%: " + ", ".join(regressions))
+              f"{100 * args.threshold:.1f}% or their baseline spread: "
+              + ", ".join(regressions))
         return 1
-    print(f"\nOK: {len(common)} row(s) within {100 * args.threshold:.1f}%")
+    print(f"\nOK: {len(common)} row(s) within {100 * args.threshold:.1f}% "
+          f"or their baseline spread")
     return 0
 
 

@@ -134,7 +134,7 @@ PARMEM_TEST(object_chase_forwarding_synchronizes) {
   constexpr int kRounds = 2000;
   constexpr std::uint32_t kFields = 6;
   struct alignas(Object::kAlign) Storage {
-    unsigned char bytes[object_bytes(0, kFields)];
+    unsigned char bytes[Object::size_bytes(0, kFields)];
   };
   auto expected = [](int round, std::uint32_t i) {
     return std::int64_t{round} * kFields + i + 1;
@@ -142,7 +142,8 @@ PARMEM_TEST(object_chase_forwarding_synchronizes) {
   std::vector<Storage> stale(kRounds);
   std::vector<Storage> masters(kRounds);
   for (int r = 0; r < kRounds; ++r) {
-    Object* o = init_object(&stale[r], 0, kFields);
+    Object* o = reinterpret_cast<Object*>(&stale[r]);
+    o->init_header(0, kFields);
     for (std::uint32_t i = 0; i < kFields; ++i) {
       o->set_scalar(i, expected(r, i));
     }
@@ -155,7 +156,8 @@ PARMEM_TEST(object_chase_forwarding_synchronizes) {
         std::this_thread::yield();
       }
       Object* o = reinterpret_cast<Object*>(&stale[r]);
-      Object* m = init_object(&masters[r], 0, kFields);
+      Object* m = reinterpret_cast<Object*>(&masters[r]);
+      m->init_header(0, kFields);
       CHECK(o->claim_fwd());
       std::memcpy(m->scalars(), o->scalars(), 8u * kFields);
       o->set_fwd(m);

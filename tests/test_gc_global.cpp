@@ -1,5 +1,5 @@
 // Global-heap collection under the local-heap runtime
-// (runtimes/localheap_runtime.hpp): a stopped-world Cheney cycle over
+// (runtimes/localheap_runtime.hpp): a stopped-world copying cycle over
 // the depth-0 promotion sink, rooted from every worker's frames plus
 // local->global edges discovered by scanning the worker-local heaps.
 // Covers forwarding-chase through a collected global heap, edge
@@ -164,8 +164,8 @@ PARMEM_TEST(global_gc_threshold_triggers_at_safepoints) {
 }
 
 // Team equivalence: a forked workload that publishes from every leaf,
-// run with one worker (collections take the sequential path -- no one
-// is parked to recruit) and with four (parked mutators join the
+// run with one worker (the driver evacuates alone, a team of one -- no
+// one is parked to recruit) and with four (parked mutators join the
 // evacuation team), must produce identical sums. GC-stress maximises
 // the number of cycles the join windows see.
 PARMEM_TEST(global_gc_team_sizes_equivalent) {

@@ -242,8 +242,8 @@ PARMEM_TEST(internal_gc_stats_match_live_set) {
 // collected, so the owner's leaf-GC trigger follows the collected live
 // set: the busy root heap's estimate equals the bytes the forced
 // internal collection copied, and after the join it is still that (the
-// child never collected, so it carries nothing). Sequential collector
-// and recruited team alike.
+// child never collected, so it carries nothing). The driver alone (a
+// team of one) and a recruited team alike.
 PARMEM_TEST(internal_gc_records_survivors_on_heap) {
   constexpr std::uint32_t kCells = 8;
   for (unsigned team : {0u, 2u}) {
@@ -326,7 +326,7 @@ PARMEM_TEST(internal_gc_threshold_triggers_at_safepoints) {
   });
 }
 
-// The parallel-team variant must agree with the sequential one: same
+// A recruited team must agree with the driver evacuating alone: same
 // survivors, same values, internal collections still billed.
 PARMEM_TEST(internal_gc_parallel_team_equivalent) {
   for (unsigned team : {0u, 3u}) {

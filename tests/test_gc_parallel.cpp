@@ -1,11 +1,11 @@
 // core/gc_parallel.hpp: team-based evacuation must preserve the
 // object graph exactly -- values, shape, AND sharing (a shared
 // subgraph is copied once, not once per referrer) -- independent of
-// team size, and its claim protocol must be free (zero conflicts)
-// when the team is one worker. Plus end-to-end parity: the STW
-// runtime's recruited-team collections and HierRuntime's parallel
-// join-time collections keep kernel checksums identical to the
-// sequential runtime.
+// team size, and its claim protocol must be free (zero conflicts, no
+// steals) when the team is one worker, the paper's sequential
+// collector. Plus end-to-end parity: the STW runtime's recruited-team
+// collections and HierRuntime's join-time collections, alone or with a
+// team, keep kernel checksums identical to the sequential runtime.
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -42,25 +42,25 @@ BuiltGraph build_graph(ChunkPool& pool, std::size_t objects,
     s = data::hash64(s, mod + 1);
     return s % mod;
   };
-  g.hub = init_object(g.heap->bump_raw(object_bytes(0, 4)), 0, 4);
+  g.hub = g.heap->bump_alloc(0, 4);
   for (std::uint32_t k = 0; k < 4; ++k) {
-    g.hub->store_i64_plain(k, static_cast<std::int64_t>(rnd(1u << 20)));
+    g.hub->set_scalar(k, static_cast<std::int64_t>(rnd(1u << 20)));
   }
   std::vector<Object*> objs;
   objs.push_back(g.hub);
   for (std::size_t i = 1; i < objects; ++i) {
     const auto np = static_cast<std::uint32_t>(1 + rnd(3));
     const auto nn = static_cast<std::uint32_t>(1 + rnd(6));
-    Object* o = init_object(g.heap->bump_raw(object_bytes(np, nn)),
-                            np, nn);
+    Object* o = g.heap->bump_alloc(np, nn);
+    o->zero_fields();
     for (std::uint32_t k = 0; k < nn; ++k) {
-      o->store_i64_plain(k, static_cast<std::int64_t>(rnd(1u << 20)));
+      o->set_scalar(k, static_cast<std::int64_t>(rnd(1u << 20)));
     }
-    o->store_ptr_plain(0, i % 7 == 0 ? g.hub : objs.back());
+    o->set_ptr_relaxed(0, i % 7 == 0 ? g.hub : objs.back());
     for (std::uint32_t k = 1; k < np; ++k) {
       const std::size_t window = objs.size() < 64 ? objs.size() : 64;
       if (rnd(3) != 0) {  // some fields stay null, some objects die
-        o->store_ptr_plain(k, objs[objs.size() - 1 - rnd(window)]);
+        o->set_ptr_relaxed(k, objs[objs.size() - 1 - rnd(window)]);
       }
     }
     objs.push_back(o);
@@ -117,8 +117,7 @@ std::uint64_t graph_checksum(const std::vector<Object*>& roots) {
 
 core::ParallelGcOutcome collect_graph(BuiltGraph& g, ChunkPool& pool,
                                       unsigned team) {
-  core::ParallelCollector pc(pool, {g.heap.get()},
-                             core::ParallelGcOptions{team, 32});
+  core::ParallelCollector pc(pool, g.heap.get(), team);
   return pc.collect([&g](auto&& fn) {
     for (Object*& r : g.roots) {
       fn(&r);
@@ -167,15 +166,6 @@ PARMEM_TEST(parallel_gc_preserves_graph_and_sharing) {
   // Garbage died: the evacuated bytes are well under the allocation.
   CHECK(out.totals.bytes_copied > 0);
   CHECK(out.totals.bytes_copied < allocated);
-  // Per-worker rows sum to the totals.
-  std::uint64_t sum = 0;
-  std::uint64_t conflicts = 0;
-  for (const auto& w : out.per_worker) {
-    sum += w.objects_copied;
-    conflicts += w.claim_conflicts;
-  }
-  CHECK_EQ(sum, out.totals.objects_copied);
-  CHECK_EQ(conflicts, out.totals.claim_conflicts);
 }
 
 PARMEM_TEST(parallel_gc_team_sizes_equivalent) {
@@ -204,46 +194,38 @@ PARMEM_TEST(parallel_gc_single_worker_has_no_conflicts) {
   core::ParallelGcOutcome out = collect_graph(g, pool, 1);
   CHECK_EQ(out.totals.claim_conflicts, 0u);
   CHECK(out.totals.objects_copied > 0);
-  CHECK_EQ(out.per_worker.size(), 1u);
-  CHECK_EQ(out.per_worker[0].packets_stolen, 0u);
+  CHECK_EQ(out.totals.packets_stolen, 0u);
+  CHECK_EQ(out.driver_cpu_ns, out.totals.cpu_ns);
 }
 
-// Heap::adopt_chunks: a retired chunk list detached from one heap can
-// be adopted wholesale by another (after release_all_chunks empties
-// it), carrying the object graph (addresses intact) and the
-// allocated-bytes account.
-PARMEM_TEST(heap_record_install_chunk_list_roundtrip) {
+// A team-of-one stopped collection copies into the collected heap
+// itself, as the leaf collector does: survivors sit in chunks at the
+// heap's own chunk-size step (here the full 256 KiB), never in the
+// 4 KiB starters a fresh to-space heap would open, and the step is
+// kept for the owner's next allocation.
+PARMEM_TEST(stopped_team_of_one_copies_in_place) {
   ChunkPool pool;
-  BuiltGraph g = build_graph(pool, 8000, 11);
+  BuiltGraph g = build_graph(pool, 40000, 13);
+  CHECK_EQ(g.heap->chunk_size_hint(), kChunkBytes);
   const std::uint64_t before = graph_checksum(g.roots);
-  const std::size_t allocated = g.heap->allocated_bytes();
-
-  Chunk* head = g.heap->detach_chunks();
-  Chunk* tail = head;
-  while (tail != nullptr && tail->next != nullptr) {
-    tail = tail->next;
-  }
-  Heap other(nullptr, 0, &pool);
-  (void)other.bump_raw(64);  // preexisting contents must be released
-  other.release_all_chunks();
-  CHECK_EQ(other.allocated_bytes(), 0u);
-  other.adopt_chunks(head, tail, allocated);
-
-  CHECK_EQ(other.allocated_bytes(), allocated);
-  CHECK_EQ(graph_checksum(g.roots), before);  // addresses intact
-  for (Object* r : g.roots) {
-    CHECK(heap_of(r) == &other);  // ownership retargeted
-  }
-  // And the adopted list collects normally from its new heap.
-  core::ParallelCollector pc(pool, {&other},
-                             core::ParallelGcOptions{2, 32});
-  core::ParallelGcOutcome out = pc.collect([&g](auto&& fn) {
-    for (Object*& r : g.roots) {
-      fn(&r);
+  SafepointGate gate(1);
+  StatsCell stats;
+  for (unsigned max_team : {0u, 1u, 4u}) {  // nobody parked: all alone
+    const std::size_t live =
+        collect_stopped(gate, pool, {g.heap.get()}, max_team, &stats,
+                        [&g](auto&& fn) {
+                          for (Object*& r : g.roots) {
+                            fn(&r);
+                          }
+                        });
+    CHECK(live > kMinChunkBytes);
+    CHECK_EQ(graph_checksum(g.roots), before);
+    CHECK_EQ(g.heap->chunk_size_hint(), kChunkBytes);
+    for (Chunk* c = g.heap->chunks(); c != nullptr; c = c->next) {
+      CHECK_EQ(c->bytes, kChunkBytes);
     }
-  });
-  CHECK(out.totals.bytes_copied > 0);
-  CHECK_EQ(graph_checksum(g.roots), before);
+  }
+  CHECK_EQ(stats.gc_count.load(), 3u);
 }
 
 // Stale promotion copies must forward through to their master: a
@@ -256,19 +238,19 @@ PARMEM_TEST(parallel_gc_collects_promotion_forwarded_heaps) {
   Heap parent(nullptr, 0, &pool);
   Heap child(&parent, 1, &pool);
 
-  Object* master = init_object(parent.bump_raw(object_bytes(0, 2)), 0, 2);
-  master->store_i64_plain(0, 41);
-  master->store_i64_plain(1, 43);
-  Object* stale = init_object(child.bump_raw(object_bytes(0, 2)), 0, 2);
+  Object* master = parent.bump_alloc(0, 2);
+  master->set_scalar(0, 41);
+  master->set_scalar(1, 43);
+  Object* stale = child.bump_alloc(0, 2);
+  stale->zero_fields();
   stale->set_fwd(master);  // what a finished promotion leaves behind
 
-  Object* keeper = init_object(child.bump_raw(object_bytes(1, 1)), 1, 1);
-  keeper->store_i64_plain(0, 7);
-  keeper->store_ptr_plain(0, stale);
+  Object* keeper = child.bump_alloc(1, 1);
+  keeper->set_scalar(0, 7);
+  keeper->set_ptr_relaxed(0, stale);
 
   std::vector<Object*> roots{stale, keeper};
-  core::ParallelCollector pc(pool, {&child},
-                             core::ParallelGcOptions{2, 32});
+  core::ParallelCollector pc(pool, &child, 2);
   core::ParallelGcOutcome out = pc.collect([&roots](auto&& fn) {
     for (Object*& r : roots) {
       fn(&r);
@@ -314,8 +296,9 @@ PARMEM_TEST(stw_parallel_evacuation_kernel_parity) {
   CHECK(rt.stats().gc_count > 0);
 }
 
-// Hier join-time subtree collections with a team must preserve kernel
-// results exactly like the sequential join-time collector does.
+// Hier join-time subtree collections must preserve kernel results,
+// whether the driver evacuates alone (gc_parallel_team 0 or 1) or with
+// up to two recruits.
 PARMEM_TEST(hier_parallel_join_collection_parity) {
   bench::Sizes z;
   z.scale = 0.001;
@@ -330,16 +313,18 @@ PARMEM_TEST(hier_parallel_join_collection_parity) {
     SeqRuntime seq;
     return bench_msort_pure(seq, z).checksum;
   }();
-  HierRuntime::Options o;
-  o.workers = 2;
-  o.gc_join_threshold = std::size_t{16} << 10;
-  o.gc_parallel_team = 3;
-  HierRuntime rt(o);
-  for (int i = 0; i < 2; ++i) {
-    CHECK_EQ(bench_usp_tree(rt, z).checksum, ref_usp);
-    CHECK_EQ(bench_msort_pure(rt, z).checksum, ref_sort);
+  for (unsigned team : {0u, 1u, 3u}) {
+    HierRuntime::Options o;
+    o.workers = 2;
+    o.gc_join_threshold = std::size_t{16} << 10;
+    o.gc_parallel_team = team;
+    HierRuntime rt(o);
+    for (int i = 0; i < 2; ++i) {
+      CHECK_EQ(bench_usp_tree(rt, z).checksum, ref_usp);
+      CHECK_EQ(bench_msort_pure(rt, z).checksum, ref_sort);
+    }
+    CHECK(rt.stats().gc_count > 0);
   }
-  CHECK(rt.stats().gc_count > 0);
 }
 
 }  // namespace
