@@ -1,8 +1,9 @@
-// Team-based heap evacuation, the one evacuator of a stopped world --
-// the collection completion the paper's Section 5 plans. The paper's
-// sequential collector ("each such collection is sequential") is a
-// team of one here. A team of workers evacuates the live graph of one
-// quiesced heap:
+// Team-based heap evacuation, the one evacuator of every collection:
+// leaf, join, internal, global, stw and emergency. The paper collects
+// each heap sequentially ("each such collection is sequential"); that
+// collector is a team of one here, and Section 5's planned completion,
+// a parallel collection, is a larger team. A team of workers evacuates
+// the live graph of one quiesced heap:
 //
 //   - ownership claims: a worker claims an object by CASing its
 //     forwarding word null -> kBusy (core/promote.hpp's fine-grained
@@ -14,27 +15,30 @@
 //     on per-worker deques; a worker out of local packets steals the
 //     oldest packet from a teammate (FIFO end, like core/sched.hpp).
 //   - to-space: worker 0 (the driver) copies into the collected heap
-//     itself, as the leaf collector does, so survivors keep the heap's
-//     chunk-size step and its bump chunk stays open for the owner. Each
-//     recruit copies into a private Heap, so evacuation never contends
-//     on a shared bump pointer; those buffers are spliced into the heap
+//     itself, so survivors keep the heap's chunk-size step and its bump
+//     chunk stays open for the owner. Each recruit copies into a
+//     private Heap, so evacuation never contends on a shared bump
+//     pointer; those buffers are spliced into the heap
 //     (Heap::merge_from) when the team terminates.
 //
 // The caller guarantees the collected heap is quiesced: no mutator
-// reads, writes, or allocates in it for the duration (a stopped world
-// in a runtime; a standalone bench or test heap). Tracing stops at any
-// chunk the collected heap does not own, exactly like the leaf
-// collector, and forwarding words of foreign objects are only ever
-// chased, never claimed.
+// reads, writes, or allocates in it for the duration (its owner
+// collecting its own leaf, a stopped world, or a standalone bench or
+// test heap). Tracing stops at any chunk the collected heap does not
+// own: the hierarchy invariant keeps ancestors from pointing down into
+// it, and forwarding words of foreign objects are only ever chased,
+// never claimed. Stale promotion copies in the heap chase to their
+// master and die with the from-space chunks.
 //
 // Two ways to drive it:
-//   - collect(), the standalone one-call surface for tests and benches
-//     that build and collect plain Heaps; it spawns its own team
-//     threads.
+//   - collect(), the one-call surface: a team of one on the calling
+//     thread for a leaf collection (core/gc_leaf.hpp), or a
+//     self-spawned team for tests and benches that collect plain Heaps.
 //   - collect_stopped() at the end of this file, the runtimes' one
 //     "collect on a stopped world" path: it recruits the parked
 //     mutators of a SafepointGate as the team (prepare()/run_worker()/
 //     finish()), so a pause puts stopped mutators to work.
+// GcPause bills a runtime's collection of either kind.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +55,6 @@
 
 #include "core/deque.hpp"
 #include "core/failpoint.hpp"
-#include "core/gc_leaf.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
@@ -68,20 +71,22 @@ struct ParallelGcWorkerStats {
   std::uint64_t bytes_copied = 0;
   std::uint64_t packets_stolen = 0;
   std::uint64_t claim_conflicts = 0;  // lost forwarding-word CAS claims
-  std::uint64_t cpu_ns = 0;  // thread CPU time in run_worker(): copy work
-                             // plus termination spinning (gc_ns units)
+  // A recruit's thread CPU time in run_worker(): copy work plus
+  // termination spinning (gc_ns units). 0 for the driver (slot 0): its
+  // caller's GcPause clocks the driver's whole span, and two more clock
+  // reads would be a third of a small leaf collection's fixed cost.
+  std::uint64_t cpu_ns = 0;
 };
 
 struct ParallelGcOutcome {
-  ParallelGcWorkerStats totals;     // summed over the team
-  std::uint64_t driver_cpu_ns = 0;  // slot 0's share of totals.cpu_ns
+  ParallelGcWorkerStats totals;  // summed over the team
 };
 
 class ParallelCollector {
   struct Worker;  // defined below; named in member signatures above it
 
  public:
-  static constexpr std::size_t kPacketObjects = 128;  // greys per packet
+  static constexpr std::size_t kPacketObjects = 126;  // greys per packet
 
   // Evacuates `heap` with `team` workers (0 counts as 1).
   ParallelCollector(ChunkPool& pool, Heap* heap, unsigned team)
@@ -129,11 +134,14 @@ class ParallelCollector {
   // root_iter enumerates it, as worker 0 on the calling thread: the
   // slot is read while the enumeration still has it in cache, and the
   // root objects' copies become worker 0's grey packets, which the
-  // recruits steal once they run. Like a team abort, an OS-level
-  // allocation failure here (the only kind in collector context)
-  // throws and loses the heap.
+  // recruits steal once they run. It also takes the driver's phase,
+  // which every worker's samples carry: a leaf copy stays leaf-GC and
+  // a recruit's copy counts under the pause it serves. Like a team
+  // abort, an OS-level allocation failure here (the only kind in
+  // collector context) throws and loses the heap.
   template <class RootIter>
   void prepare(RootIter&& root_iter) {
+    phase_ = phase::current();
     from_ = heap_->detach_chunks();
     for (Chunk* c = from_; c != nullptr; c = c->next) {
       // c->heap stays: it is the ownership test
@@ -162,6 +170,11 @@ class ParallelCollector {
       if (cur == nullptr) {
         return;
       }
+      // Write back only a moved slot. Only slots holding this heap's
+      // objects move, and a leaf's are touched by its owner alone; a
+      // sibling branch may publish into a slot holding null or a
+      // foreign pointer (the local-heap runtime), so this pass stays
+      // read-only on those and loses no update.
       Object* fwd = forward(driver, cur);
       if (fwd != cur) {
         std::atomic_ref<Object*>(*slot).store(fwd, std::memory_order_relaxed);
@@ -177,9 +190,9 @@ class ParallelCollector {
   // caller must treat the rethrow as fatal for the computation.
   void run_worker(unsigned slot) {
     failpoint::GcAllocScope gc_scope;
-    phase::PhaseScope evac_scope(phase::Phase::kParallelEvac);
+    phase::PhaseScope phase_scope(phase_);  // the collection's own phase
     Worker& ws = workers_[slot];
-    const std::uint64_t cpu0 = thread_cpu_ns();
+    const std::uint64_t cpu0 = slot == 0 ? 0 : thread_cpu_ns();
     try {
       run_worker_impl(ws);
     } catch (...) {
@@ -191,7 +204,9 @@ class ParallelCollector {
       }
       aborted_.store(true, std::memory_order_release);
     }
-    ws.stats.cpu_ns = thread_cpu_ns() - cpu0;
+    if (slot != 0) {
+      ws.stats.cpu_ns = thread_cpu_ns() - cpu0;
+    }
     exited_.fetch_add(1, std::memory_order_release);
   }
 
@@ -292,7 +307,6 @@ class ParallelCollector {
       out.totals.claim_conflicts += w.claim_conflicts;
       out.totals.cpu_ns += w.cpu_ns;
     }
-    out.driver_cpu_ns = workers_[0].stats.cpu_ns;
     heap_->note_collected(out.totals.bytes_copied);
     release_from_space();
     return out;
@@ -313,6 +327,13 @@ class ParallelCollector {
     std::uint32_t count = 0;
     Object** slots() { return reinterpret_cast<Object**>(this + 1); }
   };
+  // One malloc per packet. glibc serves a request of at most 1,032
+  // bytes from its per-thread cache (tcache); a larger packet would
+  // take the arena on every malloc and free, once per packet of every
+  // collection, leaf ones included.
+  static constexpr std::size_t kPacketBytes =
+      sizeof(Packet) + kPacketObjects * sizeof(Object*);
+  static_assert(kPacketBytes <= 1032, "a packet must fit glibc's tcache");
 
   struct alignas(64) Worker {
     unsigned index = 0;
@@ -398,8 +419,7 @@ class ParallelCollector {
             failpoint::triggered(failpoint::Site::kPacketAlloc), 0)) {
       return nullptr;
     }
-    void* mem = std::malloc(sizeof(Packet) +
-                            kPacketObjects * sizeof(Object*));
+    void* mem = std::malloc(kPacketBytes);
     if (mem == nullptr) {
       return nullptr;
     }
@@ -422,9 +442,7 @@ class ParallelCollector {
         try {
           ws.overflow.push_back(n);
         } catch (...) {
-          throw OutOfMemory("packet_alloc",
-                            sizeof(Packet) +
-                                kPacketObjects * sizeof(Object*),
+          throw OutOfMemory("packet_alloc", kPacketBytes,
                             pool_->live_bytes(), pool_->budget(),
                             pool_->peak_bytes());
         }
@@ -476,6 +494,7 @@ class ParallelCollector {
   ChunkPool* pool_;
   Heap* heap_;  // collected; receives every survivor
   unsigned team_;
+  phase::Phase phase_ = phase::Phase::kMutator;  // the driver's, at prepare
 
   Chunk* from_ = nullptr;  // detached from-space chunks, released at finish
   std::unique_ptr<Worker[]> workers_;  // slot 0 is the driver
@@ -486,6 +505,48 @@ class ParallelCollector {
   std::exception_ptr abort_err_;
   SpinLock packet_mem_lock_;
   std::vector<void*> packet_mem_;
+};
+
+// The billing of one collection, opened before it starts and closed by
+// finish(): gc_count once, the bytes it copied, gc_ns for the
+// collecting threads' CPU time, and exactly one pause event. The pause
+// KIND comes from the ambient phase (a collection driven under a
+// join-GC scope is a join pause); outside any collection phase the
+// thread is retagged leaf-GC for the pause's span.
+class GcPause {
+ public:
+  GcPause()
+      : trace_t0_(trace::now_ns()),
+        cpu0_(thread_cpu_ns()),
+        ambient_(phase::current()),
+        kind_(trace::pause_kind_from_phase(ambient_)),
+        scope_(phase::is_gc(ambient_) ? ambient_ : phase::Phase::kLeafGc) {}
+  GcPause(const GcPause&) = delete;
+  GcPause& operator=(const GcPause&) = delete;
+
+  // `team_cpu_ns` is CPU time other threads spent on this collection
+  // (collect_stopped's recruits).
+  void finish(StatsCell* stats, std::size_t copied, bool kept,
+              std::uint64_t team_cpu_ns = 0) {
+    // The pause span encloses both CPU clock reads (system calls): on
+    // a stopped world the mutators wait through them too.
+    stats->gc_ns.fetch_add(thread_cpu_ns() - cpu0_ + team_cpu_ns,
+                           std::memory_order_relaxed);
+    const std::uint64_t pause_ns = trace::now_ns() - trace_t0_;
+    stats->gc_count.fetch_add(1, std::memory_order_relaxed);
+    stats->gc_bytes_copied.fetch_add(copied, std::memory_order_relaxed);
+    if (kept) {
+      stats->gc_kept.fetch_add(1, std::memory_order_relaxed);
+    }
+    trace::record_gc_pause(kind_, trace_t0_, pause_ns, copied);
+  }
+
+ private:
+  std::uint64_t trace_t0_;
+  std::uint64_t cpu0_;
+  phase::Phase ambient_;
+  trace::Ev kind_;
+  phase::PhaseScope scope_;
 };
 
 }  // namespace core
@@ -508,7 +569,7 @@ template <class RootIter>
 std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
                             const std::vector<Heap*>& heaps, unsigned max_team,
                             StatsCell* stats, RootIter&& roots) {
-  leaf_gc_detail::Pause pause;
+  core::GcPause pause;
   Heap* victim = heaps.front();
   for (std::size_t i = 1; i < heaps.size(); ++i) {
     victim->merge_from(*heaps[i]);
@@ -539,7 +600,7 @@ std::size_t collect_stopped(SafepointGate& gate, ChunkPool& pool,
   // prepare, its slot, finish: detaching and releasing from-space can
   // outweigh the copying); add each recruit's slot.
   pause.finish(stats, out.totals.bytes_copied, /*kept=*/false,
-               out.totals.cpu_ns - out.driver_cpu_ns);
+               out.totals.cpu_ns);
   return out.totals.bytes_copied;
 }
 

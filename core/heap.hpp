@@ -585,7 +585,6 @@ class Heap {
   // back to the small-leaf start.
   std::size_t chunk_size_hint() const { return next_chunk_bytes_; }
 
-  char* top() const { return top_; }
   Chunk* chunks() const { return head_; }
   Chunk* tail() const { return tail_; }
   std::size_t chunk_bytes() const { return bytes_; }

@@ -9,20 +9,18 @@
 // barrier so the extra load is noise.
 //
 // `fwd` doubles as (a) the promotion forwarding pointer ("the master
-// copy now lives up there"), (b) the Cheney forwarding pointer during
-// leaf GC, and (c) the claim word for fine-grained promotion (value
-// kBusy while a claimer is copying).
+// copy now lives up there"), (b) the evacuator's forwarding pointer
+// during a collection, and (c) the claim word for fine-grained
+// promotion and a collecting team (value kBusy while a claimer is
+// copying).
 //
 // Memory ordering of the forwarding word. The word carries
 // synchronisation in one direction only: from the thread that installs
 // a non-null value to a thread that reads that value. Every installer
 // writes the copy first and then publishes it with a release store:
 // promotion's `set_fwd` (coarse and fine-grained), the fine-grained
-// claim `claim_fwd` (an acq_rel CAS), and the parallel collector's
-// claim + `set_fwd`. Leaf collection is the one relaxed installer: it
-// runs on a single task's heap, and only that task reads its to-space
-// copies' fields until a fork or join edge publishes them (a sibling
-// that chases into one reads only its chunk's owner).
+// claim `claim_fwd` (an acq_rel CAS), and the evacuator's claim +
+// `set_fwd` (core/gc_parallel.hpp, every collection's copy loop).
 //
 // A null word synchronises with nothing (only `init_header`'s relaxed
 // store ever writes null), so `chase` reads it relaxed. Reading null
@@ -39,13 +37,13 @@
 //   - promotion (core/promote.hpp) copies a chased object only under
 //     the path locks (coarse) or after its own acq_rel claim_fwd
 //     (fine-grained), and reads only its immutable header before that;
-//   - leaf evacuate and mark (core/gc_leaf.hpp) copy only objects of
-//     their own heap, whose words only their own task writes;
-//   - the parallel collector's forward (core/gc_parallel.hpp) copies
-//     only after winning claim_fwd, and a loser's chase sees the
-//     winner's non-null word and takes the acquire reload (a team of
-//     one copies unclaimed: no other thread reads that heap's words);
-//   - internal and global collection run on a stopped world, ordered
+//   - the leaf mark pass (core/gc_leaf.hpp) reads only objects of its
+//     own heap, whose words only its own task writes, and moves none;
+//   - the evacuator's forward (core/gc_parallel.hpp), the copy loop of
+//     every collection, copies only after winning claim_fwd, and a
+//     loser's chase sees the winner's non-null word and takes the
+//     acquire reload. A team of one copies unclaimed: a leaf heap's
+//     words only its owner writes, and a stopped world's are ordered
 //     by the safepoint gate.
 #pragma once
 
@@ -112,9 +110,7 @@ class Object {
 
   Object* fwd_acquire() const { return fwd_.load(std::memory_order_acquire); }
   Object* fwd_relaxed() const { return fwd_.load(std::memory_order_relaxed); }
-  void set_fwd(Object* f, std::memory_order mo = std::memory_order_release) {
-    fwd_.store(f, mo);
-  }
+  void set_fwd(Object* f) { fwd_.store(f, std::memory_order_release); }
   bool claim_fwd() {  // fine-grained promotion: null -> kBusy
     Object* expect = nullptr;
     return fwd_.compare_exchange_strong(expect, busy_sentinel(),

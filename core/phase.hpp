@@ -8,7 +8,7 @@
 //     sample with the sampled thread's current phase, so collapsed
 //     stacks fold into per-phase flame graphs;
 //   * the trace layer (core/trace.hpp) derives GC-pause kinds from the
-//     ambient phase (a leaf collection run under a join-GC scope is a
+//     ambient phase (a collection driven under a join-GC scope is a
 //     join pause);
 //   * the test watchdog dumps every worker's current phase on a hang,
 //     so the dump says WHAT each stuck thread was doing.
@@ -42,7 +42,6 @@ enum class Phase : std::uint8_t {
   kInternalGc,
   kGlobalGc,
   kStwGc,
-  kParallelEvac,
   kPromotion,
   kSteal,
   kPark,
@@ -58,7 +57,6 @@ inline const char* name(Phase p) {
     case Phase::kInternalGc:   return "internal-GC";
     case Phase::kGlobalGc:     return "global-GC";
     case Phase::kStwGc:        return "stw-GC";
-    case Phase::kParallelEvac: return "parallel-evac";
     case Phase::kPromotion:    return "promotion";
     case Phase::kSteal:        return "steal";
     case Phase::kPark:         return "park";
@@ -67,13 +65,13 @@ inline const char* name(Phase p) {
   }
 }
 
-// Is `p` one of the collection phases? The leaf collector keeps an
-// enclosing collection phase as its own (its pause is that driver's
-// copy step) and tags itself leaf-GC only outside one.
+// Is `p` one of the collection phases? A collection's pause
+// (core/gc_parallel.hpp GcPause) keeps an enclosing collection phase as
+// its own and tags itself leaf-GC only outside one.
 inline bool is_gc(Phase p) {
   return p == Phase::kLeafGc || p == Phase::kJoinGc ||
          p == Phase::kInternalGc || p == Phase::kGlobalGc ||
-         p == Phase::kStwGc || p == Phase::kParallelEvac;
+         p == Phase::kStwGc;
 }
 
 inline constexpr unsigned kSlots = 64;  // power of two (slot = id & mask)

@@ -48,8 +48,8 @@ enum class PromotionMode {
   X(gc_kept)                                                                 \
   /* CPU time the collecting threads spent in collections                    \
      (thread_cpu_ns): the leaf collector's own thread, or every member       \
-     of a stopped world's evacuation team. Billed only by the leaf collector \
-     (core/gc_leaf.hpp) and collect_stopped. */                              \
+     of a stopped world's evacuation team. Billed only by GcPause            \
+     (core/gc_parallel.hpp), for the leaf collector and collect_stopped. */  \
   X(gc_ns)                                                                   \
   /* Wall time the world stood stopped: for each won stop, from every        \
      other running task parked to the release (StopGuard). Zero for a        \

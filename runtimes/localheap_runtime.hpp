@@ -13,8 +13,8 @@
 //   * the write barrier promotes any local value stored into a
 //     non-local object.
 //
-// This keeps local heaps worker-private (they can be collected by the
-// standard leaf Cheney collector without stopping anyone), at the cost
+// This keeps local heaps worker-private (each is collected by the leaf
+// collector, core/gc_leaf.hpp, without stopping anyone), at the cost
 // of copying on the order of the input size even for pure programs --
 // exactly the paper's Section 4.4 measurement.
 //

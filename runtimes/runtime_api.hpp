@@ -123,7 +123,7 @@ BranchResult<Fn, Ctx> invoke_branch(Fn& fn, Ctx& c) {
 //     worker to survive the hand-off anyway) and writes the slot --
 //     safe against a concurrent scan of the parent's frames because
 //     Local slots are atomic and collectors rewrite only pointers
-//     into the heap being collected (core/gc_leaf.hpp);
+//     into the heap being collected (core/gc_parallel.hpp prepare);
 //   * take() re-reads the slot after the join, by which time any
 //     collection has rewritten it like every other root.
 //

@@ -1,6 +1,7 @@
 // Sequential baseline ("mlton" in fig10-fig13): one bump heap, zero-
-// cost barriers, and a Cheney collector that runs with the whole world
-// (one task) trivially stopped.
+// cost barriers, and the leaf collector (core/gc_leaf.hpp: the one
+// evacuator as a team of one) running with the whole world (one task)
+// trivially stopped.
 //
 // Because there is never a second task, there is no promotion and no
 // forwarding to chase: every barrier row of fig08 collapses to a plain

@@ -26,7 +26,6 @@ import sys
 
 PHASES = [
     "mutator", "leaf-GC", "join-GC", "internal-GC", "global-GC", "stw-GC",
-    "parallel-evac",
     "promotion", "steal", "park", "gate-stall",
 ]
 
@@ -39,7 +38,6 @@ PHASE_COLOR = {
     "internal-GC": "#b02a27",
     "global-GC": "#a8322d",
     "stw-GC": "#c23c35",
-    "parallel-evac": "#e46a5f",
     "promotion": "#e0a030",
     "steal": "#5b84b1",
     "park": "#8a8a8a",

@@ -2,7 +2,8 @@
 // budget-triggered leaf collection that finds at least
 // kKeepLiveFraction of its heap live keeps every object in place, and
 // one that finds less evacuates. The mark pass must measure exactly
-// what the Cheney pass would copy, whatever the graph holds.
+// what the evacuator (core/gc_parallel.hpp, a team of one here) would
+// copy, whatever the graph holds.
 #include <cstdint>
 #include <vector>
 

@@ -284,6 +284,32 @@ void one_shot_cascade() {
   failpoint::Registry::instance().reset();
 }
 
+// Leaf collections copy through the one evacuator too, so a packet
+// fault reaches SeqRuntime, whose only collections are leaf ones: with
+// every grey-packet allocation failing, each collection scans from the
+// degraded overflow list and the run still returns the plain checksum.
+PARMEM_TEST(oom_seq_leaf_gc_degrades_without_packets) {
+  Sizes z = oom_sizes();
+  z.msort_pure_n = 1 << 13;
+  SeqRuntime::Options o;
+  o.gc_min_budget = std::size_t{16} << 10;  // evacuates twice at this size
+  std::int64_t ref = 0;
+  {
+    SeqRuntime plain(o);
+    ref = bench_msort_pure(plain, z).checksum;
+    CHECK(plain.stats().gc_bytes_copied > 0);
+  }
+  o.failpoints = "packet_alloc=every(1)";
+  {
+    SeqRuntime rt(o);
+    CHECK_EQ(bench_msort_pure(rt, z).checksum, ref);
+    CHECK(rt.stats().gc_bytes_copied > 0);
+    CHECK(failpoint::Registry::instance().hits(
+              failpoint::Site::kPacketAlloc) > 0);
+  }
+  failpoint::Registry::instance().reset();
+}
+
 PARMEM_TEST(oom_emergency_cascade_recovers) {
   // A one-shot chunk fault is indistinguishable from a transient
   // budget hit: every runtime must absorb it with one emergency
